@@ -94,7 +94,7 @@ type cache_snapshot = {
   cs_fisher : (string * Fisher.scores) list;
 }
 
-let cache_schema = "nas-pte-shared-caches-v1"
+let cache_schema = "nas-pte-shared-caches-v2"
 
 let save_caches ~path t =
   Checkpoint.save ~path
@@ -127,7 +127,22 @@ let budget t = t.ec_budget
 let checkpoint t = t.ec_checkpoint
 let checkpoint_every t = t.ec_checkpoint_every
 let cost_cache t = t.ec_cost_cache
-let fisher_cache t = t.ec_fisher_cache
+
+(* A Fisher score depends only on the network spec, the rebuild seed and
+   the per-site implementation vector, so that triple is the memo key:
+   plans differing only in schedule hints or name share one entry, and
+   every search strategy (and BlockSwap) reads the same memo.  The spec is
+   part of the key because the rebuild seed is not: two networks searched
+   from the same request seed draw the same rebuild seed. *)
+let fisher_scores t ~seed model probe impls =
+  let spec = Marshal.to_string model.Models.config [ Marshal.No_sharing ] in
+  let key =
+    Printf.sprintf "%s|%d|%s" (Digest.to_hex (Digest.string spec)) seed
+      (String.concat ";" (Array.to_list (Array.map Conv_impl.to_string impls)))
+  in
+  Bounded_cache.remember t.ec_fisher_cache key (fun () ->
+      Fisher.score (Models.rebuild model (Rng.create seed) impls) probe)
+
 let cost_stats t = Bounded_cache.stats t.ec_cost_cache
 let fisher_stats t = Bounded_cache.stats t.ec_fisher_cache
 

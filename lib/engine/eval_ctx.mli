@@ -125,8 +125,14 @@ val checkpoint_every : t -> int
 val cost_cache : t -> float Bounded_cache.t
 (** The workload-cost memo: key = device|workload-dims|schedule-hints. *)
 
-val fisher_cache : t -> Fisher.scores Bounded_cache.t
-(** The Fisher-score memo: key = rebuild-seed|plan-signature. *)
+val fisher_scores :
+  t -> seed:int -> Models.t -> Train.batch -> Conv_impl.t array -> Fisher.scores
+(** [fisher_scores t ~seed model probe impls] is the Fisher score of
+    [model] rebuilt with [impls] from the shared rebuild [seed], measured
+    on [probe] — memoized in [t]'s Fisher memo under the key (network
+    spec digest, seed, impl vector).  The one Fisher oracle: the unified
+    search scores its reference network (all {!Conv_impl.Full}) and every
+    candidate through it, and BlockSwap does the same. *)
 
 val cost_stats : t -> Bounded_cache.stats
 (** Hit/miss/eviction snapshot of the workload-cost memo. *)

@@ -12,26 +12,11 @@ type evaluated = {
   ev_fixed_cost_s : float;
 }
 
-type cache_stats = Bounded_cache.stats = {
-  cs_hits : int;
-  cs_misses : int;
-  cs_size : int;
-  cs_capacity : int;
-  cs_evictions : int;
-}
-
 (* All memoization lives in the evaluation context; the wrappers below
    default to the process-wide context so legacy callers keep their exact
    behavior, and explicit-context callers (e.g. per-domain workers) get
    fully isolated caches. *)
 let ctx_or_default = function Some c -> c | None -> Eval_ctx.default ()
-
-let clear_cache () = Bounded_cache.clear (Eval_ctx.cost_cache (Eval_ctx.default ()))
-
-let set_cache_capacity n =
-  Bounded_cache.set_capacity (Eval_ctx.cost_cache (Eval_ctx.default ())) n
-
-let cache_stats () = Bounded_cache.stats (Eval_ctx.cost_cache (Eval_ctx.default ()))
 
 let hints_key (h : Autotune.hints) =
   Printf.sprintf "u%s.s%s"

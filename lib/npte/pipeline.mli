@@ -67,24 +67,3 @@ val of_impls : Models.t -> Site_plan.t array
 (** Plans matching the model's current implementation assignment (used to
     cost a BlockSwap/FBNet-mutated model, which carries no schedule
     hints). *)
-
-(* --- legacy cache controls (operate on the default context) ------------ *)
-
-val clear_cache : unit -> unit
-
-type cache_stats = Bounded_cache.stats = {
-  cs_hits : int;
-  cs_misses : int;
-  cs_size : int;
-  cs_capacity : int;
-  cs_evictions : int;
-}
-
-val cache_stats : unit -> cache_stats
-(** Hit/miss/size/eviction counters of the default context's workload memo
-    cache, for the supervisor's report.  Explicit-context callers should
-    use {!Eval_ctx.cost_stats} instead. *)
-
-val set_cache_capacity : int -> unit
-(** Bound the default context's memo cache (entries beyond the cap are
-    evicted FIFO).  Default 8192; clamped to at least 1. *)

@@ -40,13 +40,6 @@ let site_params model impls =
              impls.(site.Conv_impl.site_index))
        0
 
-(* Fisher scores are memoized in the evaluation context keyed on
-   (rebuild seed, impl assignment): random sampling revisits configurations,
-   and a memo hit skips both the rebuild and the probe pass. *)
-let impls_signature seed impls =
-  Printf.sprintf "bs|%d|%s" seed
-    (String.concat ";" (Array.to_list (Array.map Conv_impl.to_string impls)))
-
 let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ?ctx ~rng ~probe
     model =
   let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
@@ -61,10 +54,10 @@ let search ?(samples = 200) ?(budget_ratio = 0.45) ?(slack = 0.12) ?ctx ~rng ~pr
   (* Shared rebuild seed: candidates share the weights of common layers, so
      Fisher comparisons measure structure (same device as Unified_search). *)
   let seed = Rng.int rng 1_000_000_000 in
-  let score_of impls =
-    Bounded_cache.remember (Eval_ctx.fisher_cache ctx) (impls_signature seed impls)
-      (fun () -> Fisher.score (Models.rebuild model (Rng.create seed) impls) probe)
-  in
+  (* Random sampling revisits configurations; the context's Fisher memo
+     (keyed on network, seed and impl vector) skips both the rebuild and
+     the probe pass on a revisit. *)
+  let score_of = Eval_ctx.fisher_scores ctx ~seed model probe in
   let baseline_scores = score_of baseline_impls in
   let best = ref None in
   let sampled = ref 0 in

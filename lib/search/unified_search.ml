@@ -40,26 +40,20 @@ let sort_quarantine q = List.sort (fun (a, _) (b, _) -> compare a b) q
 (* One shared rebuild seed per search: candidates share the weights of every
    layer they have in common with the reference network (label-addressed
    initialization), so Fisher differences measure structure, not seed
-   noise.  The score memo lives in the evaluation context (bounded, FIFO);
-   the key embeds the rebuild seed so searches sharing a context never
-   collide. *)
+   noise.  The reference and every candidate are scored through the
+   context's one memoized oracle ({!Eval_ctx.fisher_scores}), whose key
+   embeds the network and the rebuild seed so searches sharing a context
+   never collide — and a second search of the same network from the same
+   seed (another device) only hits. *)
 type fisher_oracle = {
   fo_reference : Fisher.scores;
   fo_seed : int;
 }
 
-let make_oracle rng model probe =
+let make_oracle ctx rng model probe =
   let fo_seed = Rng.int rng 1_000_000_000 in
   let full = Array.map (fun _ -> Conv_impl.Full) model.Models.sites in
-  let reference = Models.rebuild model (Rng.create fo_seed) full in
-  { fo_reference = Fisher.score reference probe; fo_seed }
-
-let oracle_scores ctx oracle model probe plans =
-  let key = Printf.sprintf "%d|%s" oracle.fo_seed (plans_signature plans) in
-  Bounded_cache.remember (Eval_ctx.fisher_cache ctx) key (fun () ->
-      let impls = Array.map (fun p -> p.Site_plan.sp_impl) plans in
-      let candidate = Models.rebuild model (Rng.create oracle.fo_seed) impls in
-      Fisher.score candidate probe)
+  { fo_reference = Eval_ctx.fisher_scores ctx ~seed:fo_seed model probe full; fo_seed }
 
 (* Aggressiveness varies per candidate, so the pool spans mild touch-ups to
    whole-network rewrites. *)
@@ -95,57 +89,45 @@ let fallback_candidate model baseline baseline_fisher =
     cd_macs = baseline.Pipeline.ev_macs;
     cd_params = baseline.Pipeline.ev_params }
 
-let generate_pool rng model ~candidates ~mutate_prob =
+(* The pregenerated pool of the [Random] and [Typed] strategies: the
+   directed seeds, filled up with rejection-sampled coin flips ([Random])
+   or well-typed-by-construction candidates ([Typed]). *)
+let generate_pool strategy rng model ~candidates ~mutate_prob =
   let seeds = uniform_candidates model in
-  let n_random = max 0 (candidates - List.length seeds) in
+  let fill () =
+    match strategy with
+    | Strategy.Typed -> Strategy.typed_plans rng model
+    | Strategy.Random | Strategy.Guided ->
+        random_plans rng model ~mutate_prob:(draw_mutate_prob rng mutate_prob)
+  in
   Array.of_list
-    (seeds
-    @ List.init n_random (fun _ ->
-          random_plans rng model ~mutate_prob:(draw_mutate_prob rng mutate_prob)))
+    (seeds @ List.init (max 0 (candidates - List.length seeds)) (fun _ -> fill ()))
 
-(* The typed pool keeps the directed seeds (they cover the uniform corners
-   both strategies need) and fills the rest with well-typed-by-construction
-   candidates instead of rejection-sampled coin flips. *)
-let typed_pool rng model ~candidates =
-  let seeds = uniform_candidates model in
-  let n_typed = max 0 (candidates - List.length seeds) in
-  Array.of_list (seeds @ List.init n_typed (fun _ -> Strategy.typed_plans rng model))
-
-(* Evaluate one candidate under guards and (optional) injected faults.
-   [Some cand] = survivor, [None] = Fisher-rejected (a healthy outcome);
-   every failure mode raises a structured {!Nas_error.Fail} for the
-   caller to quarantine. *)
-let eval_candidate ~ctx ~fault ~index ~slack ~static_filter ~oracle ~device ~probe
-    ~prepared model plans =
+(* Evaluate one candidate under guards and (optional) injected faults read
+   from [ctx].  [Some cand] = survivor, [None] = Fisher-rejected (a healthy
+   outcome); every failure mode raises a structured {!Nas_error.Fail} for
+   the caller to quarantine. *)
+let eval_candidate ~slack ~oracle ~device ~probe ~prepared model ctx index plans =
   let obs = Eval_ctx.obs ctx in
+  let fault = Eval_ctx.fault ctx in
   if Fault.trip fault ~key:index Fault.Plan_gen then
     Nas_error.fail (Nas_error.Injected_fault "plan generation");
   Obs.with_span obs "legality" (fun () ->
-      if static_filter then begin
-        (* Static pre-Fisher filter: [Static_check.candidate] finds the same
-           first-invalid site as the dynamic sweep below (the two predicates
-           are equivalence-tested), so switching the filter on or off never
-           changes the search result — only where illegality is detected.
-           Both counters are per-index integer adds, hence deterministic
-           across worker counts. *)
-        Obs.incr obs "analysis.static_checked";
-        match Static_check.candidate model plans with
-        | Some (i, _diags) ->
-            Obs.incr obs "analysis.static_reject";
-            Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
-              plans.(i).Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label
-        | None -> ()
-      end
-      else
-        Array.iteri
-          (fun i p ->
-            if not (Site_plan.valid model.Models.sites.(i) p) then
-              Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
-                p.Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label)
-          plans);
+      (* Both counters are per-index integer adds, hence deterministic
+         across worker counts. *)
+      Obs.incr obs "analysis.static_checked";
+      match Static_check.candidate model plans with
+      | Some (i, _diags) ->
+          Obs.incr obs "analysis.static_reject";
+          Nas_error.invalid_plan "candidate %d: plan %s invalid for %s" index
+            plans.(i).Site_plan.sp_name model.Models.sites.(i).Conv_impl.site_label
+      | None -> ());
   let legal_total =
     Obs.with_span obs "fisher" (fun () ->
-        let scores = oracle_scores ctx oracle model probe plans in
+        let scores =
+          Eval_ctx.fisher_scores ctx ~seed:oracle.fo_seed model probe
+            (Array.map (fun p -> p.Site_plan.sp_impl) plans)
+        in
         let total =
           Fault.corrupt_float fault ~key:index Fault.Fisher_oracle scores.Fisher.total
         in
@@ -189,13 +171,11 @@ type outcome =
    merge exactly (integer adds) and quarantine notes ride between the
    spans, so the merged trace and the [search.*] counters are identical
    for every worker count. *)
-let eval_outcome ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepared
-    model index plans =
+let eval_outcome ~slack ~oracle ~device ~probe ~prepared model ctx index plans =
   let obs = Eval_ctx.obs ctx in
   match
     Nas_error.guard (fun () ->
-        eval_candidate ~ctx ~fault ~index ~slack ~static_filter ~oracle ~device ~probe
-          ~prepared model plans)
+        eval_candidate ~slack ~oracle ~device ~probe ~prepared model ctx index plans)
   with
   | Ok (Some cand) ->
       Obs.incr obs "search.cost_ranked";
@@ -213,7 +193,8 @@ let eval_outcome ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepa
 (* The pool is regenerated deterministically from the caller's RNG on
    resume, so the checkpoint only carries progress: the next pool index,
    the counters, the incumbent and the quarantine list.  [ck_key] rejects
-   checkpoints from a different configuration. *)
+   checkpoints from a different configuration — including another seed,
+   through the oracle's rebuild seed and a digest of the pool itself. *)
 type ckpt_state = {
   ck_key : string;
   ck_done : int;
@@ -222,9 +203,12 @@ type ckpt_state = {
   ck_quarantine : (string * Nas_error.t) list;  (* newest first *)
 }
 
-let ckpt_key strategy model device ~pool_size ~slack =
-  Printf.sprintf "%s|%s|%s|%d|%g" (Strategy.to_string strategy) model.Models.name
-    device.Device.short_name pool_size slack
+let ckpt_key strategy model device ~slack ~oracle pool =
+  Printf.sprintf "%s|%s|%s|%d|%g|%d|%s" (Strategy.to_string strategy)
+    model.Models.name device.Device.short_name (Array.length pool) slack
+    oracle.fo_seed
+    (Digest.to_hex
+       (Digest.string (String.concat "\n" (Array.to_list (Array.map plans_signature pool)))))
 
 let load_checkpoint path key =
   match Checkpoint.load ~path with
@@ -312,74 +296,27 @@ let guided_next_round rng model ~seen ~survivors ~room =
   let extensions = List.filteri (fun k _ -> k < target) extensions in
   extensions @ top_up [] (target - List.length extensions) (8 * target)
 
-(* The guided evaluation loop.  Rounds alternate generation (main domain,
-   RNG-ordered) with evaluation (serial or parallel; outcomes merge in
-   index order), so the result is deterministic for every worker count.
-   Checkpointing is not supported — the round state is cheap to recompute
-   and a guided run is budget-capped anyway. *)
-let guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe ~prepared
-    ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model =
-  let explored = ref 0 in
-  let rejected = ref 0 in
-  let processed = ref 0 in
-  let best = ref None in
-  let quarantine_rev = ref [] in
-  let survivors_rev = ref [] in
-  let skipped = ref false in
+(* The guided candidate source: the directed seeds first, then one
+   {!guided_next_round} per call, each capped at the room left under
+   [limit].  An empty batch ends the search. *)
+let guided_batches rng model ~limit =
   let seen = Hashtbl.create 64 in
   let seeds = uniform_candidates model in
   List.iter (fun plans -> Hashtbl.replace seen (plans_signature plans) ()) seeds;
-  let round = ref (List.filteri (fun k _ -> k < limit) seeds) in
-  if !round = [] then
-    round := guided_next_round rng model ~seen ~survivors:[] ~room:limit;
-  while !round <> [] && !explored < limit && not !skipped do
-    let room = limit - !explored in
-    let arr = Array.of_list (List.filteri (fun k _ -> k < room) !round) in
-    let base = !explored in
-    let eval wctx i =
-      if stop () then O_skipped
-      else
-        eval_outcome ~ctx:wctx ~fault:(Eval_ctx.fault wctx) ~slack ~static_filter
-          ~oracle ~device ~probe ~prepared model (base + i) arr.(i)
-    in
-    let outcomes =
-      if workers <= 1 || Array.length arr <= 1 then
-        Array.mapi (fun i _ -> eval ctx i) arr
-      else
-        Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
-          ~first:0 ~limit:(Array.length arr) eval
-    in
-    Array.iter
-      (function
-        | O_survivor cand ->
-            incr processed;
-            survivors_rev := cand :: !survivors_rev;
-            (match !best with
-            | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-            | _ -> best := Some cand)
-        | O_rejected ->
-            incr processed;
-            incr rejected
-        | O_failed (label, e) ->
-            incr processed;
-            quarantine_rev := (label, e) :: !quarantine_rev
-        | O_skipped -> skipped := true)
-      outcomes;
-    explored := !explored + Array.length arr;
-    if !explored < limit && not !skipped then
-      round :=
-        guided_next_round rng model ~seen
-          ~survivors:(List.rev !survivors_rev)
-          ~room:(limit - !explored)
-    else round := []
-  done;
-  ignore fault;
-  (!best, !explored, !rejected, !quarantine_rev, !processed, !skipped)
+  fun ~at ~survivors ->
+    let room = limit - at in
+    if room <= 0 then [||]
+    else
+      let round =
+        if at = 0 && seeds <> [] then seeds
+        else guided_next_round rng model ~seen ~survivors ~room
+      in
+      Array.of_list (List.filteri (fun k _ -> k < room) round)
 
 let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
-    ?(static_filter = true) ?(stop = fun () -> false) ?fault ?budget ?checkpoint
-    ?checkpoint_every ?(workers = 1) ?(schedule = Parallel_eval.Dynamic)
-    ?on_sched_stats ?(strategy = Strategy.Random) ?ctx ~rng ~device ~probe model =
+    ?(stop = fun () -> false) ?fault ?budget ?checkpoint ?checkpoint_every
+    ?(workers = 1) ?(schedule = Parallel_eval.Dynamic) ?on_sched_stats
+    ?(strategy = Strategy.Random) ?ctx ~rng ~device ~probe model =
   let start = Unix.gettimeofday () in
   (* Resolve the context: explicit knob arguments override the context's,
      which override the defaults. *)
@@ -389,9 +326,11 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
          (match ctx with Some c -> c | None -> Eval_ctx.default ())
          device)
   in
-  let fault = Eval_ctx.fault ctx in
+  let guided = strategy = Strategy.Guided in
   let budget = Eval_ctx.budget ctx in
-  let checkpoint = Eval_ctx.checkpoint ctx in
+  (* A guided run's round state is cheap to recompute and the run is
+     budget-capped anyway, so only the pool strategies checkpoint. *)
+  let checkpoint = if guided then None else Eval_ctx.checkpoint ctx in
   let checkpoint_every = Eval_ctx.checkpoint_every ctx in
   let obs = Eval_ctx.obs ctx in
   Obs.with_span obs "search" @@ fun () ->
@@ -406,46 +345,17 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   in
   let oracle, pool =
     Obs.with_span obs "generate" (fun () ->
-        let oracle = make_oracle rng model probe in
+        let oracle = make_oracle ctx rng model probe in
+        (* Guided rounds are generated during evaluation. *)
         let pool =
-          match strategy with
-          | Strategy.Random -> generate_pool rng model ~candidates ~mutate_prob
-          | Strategy.Typed -> typed_pool rng model ~candidates
-          | Strategy.Guided -> [||] (* rounds are generated during evaluation *)
+          if guided then [||]
+          else generate_pool strategy rng model ~candidates ~mutate_prob
         in
         (oracle, pool))
   in
   let baseline_fisher = oracle.fo_reference.Fisher.total in
-  if strategy = Strategy.Guided then begin
-    let limit = match budget with Some b -> min candidates b | None -> candidates in
-    let best, explored, rejected, quarantine_rev, processed, skipped =
-      Obs.with_span obs "evaluate" (fun () ->
-          guided_run ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe
-            ~prepared ~stop ~workers ~schedule ~on_sched_stats ~rng ~limit model)
-    in
-    Obs.set obs "search.generated" explored;
-    Obs.set obs "search.resumed" 0;
-    let best_cand =
-      Obs.with_span obs "select" (fun () ->
-          match best with
-          | Some b -> b
-          | None -> fallback_candidate model baseline baseline_fisher)
-    in
-    snapshot_engine_counters ctx;
-    { r_best = best_cand;
-      r_baseline = baseline;
-      r_baseline_fisher = baseline_fisher;
-      r_explored = explored;
-      r_rejected = rejected;
-      r_quarantined = sort_quarantine quarantine_rev;
-      r_evaluated = processed;
-      r_complete = not skipped;
-      r_checkpoint_error = None;
-      r_wall_s = Unix.gettimeofday () -. start }
-  end
-  else begin
-  let n = Array.length pool in
-  let key = ckpt_key strategy model device ~pool_size:n ~slack in
+  let n = if guided then candidates else Array.length pool in
+  let key = ckpt_key strategy model device ~slack ~oracle pool in
   let resumed =
     match checkpoint with Some path -> load_checkpoint path key | None -> None
   in
@@ -457,6 +367,7 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   let rejected = ref rejected0 in
   let best = ref best0 in
   let quarantine_rev = ref quarantine0 in
+  let survivors_rev = ref [] in
   let checkpoint_error = ref None in
   let save_checkpoint done_ =
     match checkpoint with
@@ -474,78 +385,79 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
         | Error e -> if !checkpoint_error = None then checkpoint_error := Some e)
   in
   (* The budget caps cumulative evaluations (resumed progress included), so
-     the range of indices to process this run is known up front — which is
-     what lets a worker pool split it deterministically. *)
+     the range of indices to process this run is known up front. *)
   let limit = match budget with Some b -> min n (max first b) | None -> n in
-  let stopped = limit < n in
+  (* Batches: a guided round at a time, or the next slice of the pool — cut
+     at every [checkpoint_every] boundary when checkpointing, so periodic
+     snapshots land at the same indices for every worker count. *)
+  let next_batch =
+    if guided then guided_batches rng model ~limit
+    else fun ~at ~survivors:_ ->
+      let stop_at =
+        if checkpoint = None then limit
+        else min limit ((at / checkpoint_every + 1) * checkpoint_every)
+      in
+      Array.sub pool at (max 0 (stop_at - at))
+  in
+  let processed = ref 0 in
+  let first_skip = ref None in
+  (* Outcomes are replayed in index order.  Everything past the first
+     skipped index is dropped: that index is the resume point, and a
+     resumed run re-evaluates (deterministically) what lies beyond it. *)
+  let merge_outcome i o =
+    if !first_skip = None then
+      match o with
+      | O_skipped -> first_skip := Some i
+      | O_survivor cand ->
+          incr processed;
+          survivors_rev := cand :: !survivors_rev;
+          (match !best with
+          | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
+          | _ -> best := Some cand)
+      | O_rejected ->
+          incr processed;
+          incr rejected
+      | O_failed (label, e) ->
+          incr processed;
+          quarantine_rev := (label, e) :: !quarantine_rev
+  in
+  (* The [stop] hook is polled once per candidate, from whichever domain
+     evaluates it (so it must be domain-safe); once it fires, the latch
+     skips every later candidate without polling again. *)
+  let halted = Atomic.make false in
+  let evaluate batch at wctx i =
+    if Atomic.get halted || (stop () && (Atomic.set halted true; true)) then O_skipped
+    else
+      eval_outcome ~slack ~oracle ~device ~probe ~prepared model wctx i batch.(i - at)
+  in
+  let on_stats = if workers > 1 then on_sched_stats else None in
+  let rec loop at =
+    match next_batch ~at ~survivors:(List.rev !survivors_rev) with
+    | [||] -> at
+    | batch ->
+        (* Every batch goes through the one evaluator: a plain sequential
+           map at [workers <= 1], otherwise per-domain context forks under
+           the chosen schedule, with outcomes returned in index order. *)
+        let next = at + Array.length batch in
+        Array.iteri
+          (fun off o -> merge_outcome (at + off) o)
+          (Parallel_eval.map_range ~schedule ?on_stats ~workers ~ctx ~first:at
+             ~limit:next (evaluate batch at));
+        if !first_skip <> None then next
+        else begin
+          if next mod checkpoint_every = 0 && next < n then save_checkpoint next;
+          loop next
+        end
+  in
+  let reached = Obs.with_span obs "evaluate" (fun () -> loop first) in
+  let explored = if guided then reached else n in
   (* The [search.*] counters are the deterministic namespace: every value
      below is a pure function of the search configuration, so they are
      bit-identical across worker counts (unlike [cache.*] hit rates, which
      depend on how the pool was split). *)
-  Obs.set obs "search.generated" n;
+  Obs.set obs "search.generated" explored;
   Obs.set obs "search.resumed" first;
-  let processed = ref 0 in
-  let first_skip = ref None in
-  let merge_outcome i = function
-    | O_survivor cand ->
-        incr processed;
-        (match !best with
-        | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-        | _ -> best := Some cand)
-    | O_rejected ->
-        incr processed;
-        incr rejected
-    | O_failed (label, e) ->
-        incr processed;
-        quarantine_rev := (label, e) :: !quarantine_rev
-    | O_skipped -> if !first_skip = None then first_skip := Some i
-  in
-  Obs.with_span obs "evaluate" (fun () ->
-      if workers <= 1 then begin
-        (* Sequential path: shared caches across the whole pool, periodic
-           checkpoints.  The [stop] hook is polled between candidates: a
-           fired hook ends the run at the current index, which the final
-           checkpoint records so a resume continues exactly there. *)
-        let i = ref first in
-        let stopping = ref false in
-        while !i < limit && not !stopping do
-          if stop () then begin
-            stopping := true;
-            first_skip := Some !i
-          end
-          else begin
-            merge_outcome !i
-              (eval_outcome ~ctx ~fault ~slack ~static_filter ~oracle ~device ~probe
-                 ~prepared model !i pool.(!i));
-            incr i;
-            if checkpoint <> None && !i mod checkpoint_every = 0 && !i < n then
-              save_checkpoint !i
-          end
-        done
-      end
-      else
-        (* Parallel path: per-domain context forks pull candidates under
-           the chosen schedule (dynamic by default — idle domains claim
-           the next unclaimed index); outcomes come back in index order,
-           so the sequential merge below reproduces the workers=1 result
-           exactly for either schedule.  Workers poll [stop] per candidate
-           (the hook must be domain-safe), so a deadline cancels in-flight
-           work at candidate granularity. *)
-        Array.iteri
-          (fun off o -> merge_outcome (first + off) o)
-          (Parallel_eval.map_range ~schedule ?on_stats:on_sched_stats ~workers ~ctx
-             ~first ~limit (fun wctx i ->
-               if stop () then O_skipped
-               else
-                 eval_outcome ~ctx:wctx ~fault:(Eval_ctx.fault wctx) ~slack
-                   ~static_filter ~oracle ~device ~probe ~prepared model i pool.(i))));
-  (* Resume point: the first unprocessed index.  When the stop hook fired
-     mid-pool, candidates past it that a parallel worker already finished
-     are simply re-evaluated on resume (they are deterministic). *)
-  let reached =
-    match !first_skip with Some i -> i | None -> if stopped then limit else n
-  in
-  save_checkpoint reached;
+  save_checkpoint (Option.value !first_skip ~default:reached);
   let best_cand =
     Obs.with_span obs "select" (fun () ->
         match !best with
@@ -556,96 +468,23 @@ let search ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12)
   { r_best = best_cand;
     r_baseline = baseline;
     r_baseline_fisher = baseline_fisher;
-    r_explored = n;
+    r_explored = explored;
     r_rejected = !rejected;
     r_quarantined = sort_quarantine !quarantine_rev;
     r_evaluated = !processed;
-    r_complete = (not stopped) && !first_skip = None;
+    r_complete = limit >= n && !first_skip = None;
     r_checkpoint_error = !checkpoint_error;
     r_wall_s = Unix.gettimeofday () -. start }
-  end
 
 let speedup r = r.r_baseline.Pipeline.ev_latency_s /. r.r_best.cd_latency_s
 
 let quarantine_counts r = Nas_error.count_classes r.r_quarantined
 
-let search_multi ?(candidates = 1000) ?(mutate_prob = 0.25) ?(slack = 0.12) ?ctx ~rng
-    ~devices ~probe model =
+let search_multi ?candidates ?mutate_prob ?slack ?ctx ~rng ~devices ~probe model =
   let ctx = match ctx with Some c -> c | None -> Eval_ctx.default () in
-  let start = Unix.gettimeofday () in
-  let oracle = make_oracle rng model probe in
-  let baseline_fisher = oracle.fo_reference.Fisher.total in
-  (* Phase 1 (device-independent): generate the pool and Fisher-filter it,
-     quarantining candidates whose scores fail the guards. *)
-  let supervisor = Supervisor.create () in
-  let rejected = ref 0 in
-  let survivors = ref [] in
-  let pool = generate_pool rng model ~candidates ~mutate_prob in
-  Array.iter
-    (fun plans ->
-      match
-        Supervisor.run supervisor ~label:(plans_signature plans) (fun () ->
-            let scores = oracle_scores ctx oracle model probe plans in
-            let total =
-              Guard.check_float ~source:Nas_error.Fisher_score scores.Fisher.total
-            in
-            ignore
-              (Guard.check_array ~source:Nas_error.Fisher_score scores.Fisher.per_site);
-            if Fisher.legal_clipped ~slack ~baseline:oracle.fo_reference scores then
-              Some (plans, total)
-            else None)
-      with
-      | Ok (Some survivor) -> survivors := survivor :: !survivors
-      | Ok None -> incr rejected
-      | Error _ -> ())
-    pool;
-  let quarantined = Supervisor.quarantined supervisor in
-  let wall_shared = Unix.gettimeofday () -. start in
-  (* Phase 2 (per device): rank the survivors with the cost model.  A
-     candidate whose cost blows up on one device stays rankable on the
-     others. *)
   List.map
     (fun device ->
-      let dev_start = Unix.gettimeofday () in
-      let baseline = Pipeline.baseline ~ctx device model in
-      let dev_supervisor = Supervisor.create () in
-      let best = ref None in
-      List.iter
-        (fun (plans, fisher) ->
-          match
-            Supervisor.run dev_supervisor ~label:(plans_signature plans) (fun () ->
-                let ev = Pipeline.evaluate ~ctx device model ~plans in
-                let latency =
-                  Guard.check_float ~source:Nas_error.Cost_model
-                    ev.Pipeline.ev_latency_s
-                in
-                { cd_plans = plans;
-                  cd_fisher = fisher;
-                  cd_latency_s = latency;
-                  cd_macs = ev.ev_macs;
-                  cd_params = ev.ev_params })
-          with
-          | Ok cand -> (
-              match !best with
-              | Some b when b.cd_latency_s <= cand.cd_latency_s -> ()
-              | _ -> best := Some cand)
-          | Error _ -> ())
-        !survivors;
-      let best =
-        match !best with
-        | Some b -> b
-        | None -> fallback_candidate model baseline baseline_fisher
-      in
       ( device,
-        { r_best = best;
-          r_baseline = baseline;
-          r_baseline_fisher = baseline_fisher;
-          r_explored = Array.length pool;
-          r_rejected = !rejected;
-          r_quarantined =
-            sort_quarantine (quarantined @ Supervisor.quarantined dev_supervisor);
-          r_evaluated = Array.length pool;
-          r_complete = true;
-          r_checkpoint_error = None;
-          r_wall_s = wall_shared +. (Unix.gettimeofday () -. dev_start) } ))
+        search ?candidates ?mutate_prob ?slack ~ctx ~rng:(Rng.copy rng) ~device ~probe
+          model ))
     devices

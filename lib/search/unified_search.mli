@@ -43,14 +43,15 @@ val random_plans :
     [mutate_prob]. *)
 
 val plans_signature : Site_plan.t array -> string
-(** The per-site plan names joined with [";"] — the key used for Fisher
-    memoization, quarantine attribution and checkpointing. *)
+(** The per-site plan names joined with [";"] — the key used for
+    quarantine attribution and the checkpoint's pool digest.  (The Fisher
+    memo is keyed on the implementation vector instead; see
+    {!Eval_ctx.fisher_scores}.) *)
 
 val search :
   ?candidates:int ->
   ?mutate_prob:float ->
   ?slack:float ->
-  ?static_filter:bool ->
   ?stop:(unit -> bool) ->
   ?fault:Fault.t ->
   ?budget:int ->
@@ -70,13 +71,15 @@ val search :
     fixed minibatch used for every Fisher evaluation; [slack] is the Fisher
     legality slack.
 
-    [static_filter] (default true) vets each candidate's per-site plans
-    with the static analyzer ([Static_check.candidate]) instead of the
-    dynamic [Site_plan.valid] sweep.  The two predicates are equivalent
-    (asserted by a test), so the search result is bit-identical either
-    way for any [workers] count; the filter adds the deterministic
-    [analysis.static_checked] / [analysis.static_reject] counters that
-    {!Report} surfaces as the static-vs-Fisher rejection split.
+    One evaluation loop serves every strategy: the candidates arrive in
+    batches (slices of a pregenerated pool, or guided rounds) and each
+    batch goes through {!Parallel_eval.map_range}.  Every candidate is
+    first vetted by the static analyzer ({!Static_check.candidate}), which
+    bumps the deterministic [analysis.static_checked] /
+    [analysis.static_reject] counters that {!Report} surfaces as the
+    static-vs-Fisher rejection split; survivors of that step are scored
+    through the context's memoized Fisher oracle
+    ({!Eval_ctx.fisher_scores}), which also scores the reference network.
 
     [stop] (default: never) is a cooperative cancellation hook polled
     between candidate evaluations — the daemon installs a deadline
@@ -85,8 +88,9 @@ val search :
     checkpoint at the first unprocessed index.  With [workers > 1] the
     hook is polled from every worker domain, so it must be domain-safe
     (e.g. {!Deadline.expired} on the shared monotonic clock); cancellation
-    is at candidate granularity.  A run whose hook never fires is
-    bit-identical to one without a hook.
+    is at candidate granularity, and once the hook fires it is not polled
+    again.  A run whose hook never fires is bit-identical to one without
+    a hook.
 
     [ctx] (default: the process default context) owns the memo caches and
     the default evaluation knobs; an explicit [fault] / [budget] /
@@ -97,7 +101,7 @@ val search :
     candidate-index order, so any worker count returns the identical best
     candidate, rejection count and (sorted) quarantine list; per-worker
     cache and fault telemetry is folded back into [ctx].  [workers = 1]
-    routes through the sequential path with zero scheduling overhead.
+    is a plain sequential map with zero scheduling overhead.
 
     [schedule] (default {!Parallel_eval.Dynamic}) picks how candidates are
     assigned to worker domains: [Dynamic] has idle domains pull the next
@@ -106,7 +110,7 @@ val search :
     counters and trace content are bit-identical for either schedule.
 
     [on_sched_stats] (parallel runs only) receives the scheduler's
-    per-worker item/steal/busy accounting after the evaluation phase —
+    per-worker item/steal/busy accounting after each evaluation batch —
     timing-dependent telemetry, deliberately outside the deterministic
     result; BENCH_search.json records it as per-worker utilization.
 
@@ -119,11 +123,13 @@ val search :
     incumbent and reports [r_complete = false].
 
     [checkpoint] names a snapshot file: progress is saved every
-    [checkpoint_every] candidates (default 25; parallel runs snapshot on
-    completion) and an existing compatible snapshot is resumed instead of
-    restarting.  The candidate pool is regenerated deterministically from
-    [rng], so a resumed search reproduces the uninterrupted run's best
-    candidate.
+    [checkpoint_every] candidates (default 25, at the same indices for any
+    [workers] count) and an existing compatible snapshot is resumed
+    instead of restarting.  The candidate pool is regenerated
+    deterministically from [rng], so a resumed search reproduces the
+    uninterrupted run's best candidate.  A snapshot is compatible only
+    with the same strategy, network, device, pool size, slack, rebuild
+    seed and pool contents, so a run with another seed starts fresh.
 
     [strategy] (default {!Strategy.Random}) picks the candidate
     generator.  [Random] keeps the historical pool — directed seeds plus
@@ -140,7 +146,7 @@ val search :
     (or [budget]) cumulative evaluations.  Guided runs honor
     [stop], [budget], [workers] and [schedule] (deterministic merge as
     above) but ignore [checkpoint] — [r_checkpoint_error] is always
-    [None]. *)
+    [None]; [r_explored] counts the candidates actually generated. *)
 
 val speedup : result -> float
 (** Baseline latency over best-candidate latency. *)
@@ -158,8 +164,10 @@ val search_multi :
   probe:Train.batch ->
   Models.t ->
   (Device.t * result) list
-(** Like {!search} for several devices at once: the candidate pool and its
-    Fisher evaluations (the expensive part) are shared; only the cost
-    ranking is per-device.  Guarded like {!search} (shared-phase
-    quarantines appear in every device's [r_quarantined]); fault injection
-    and checkpointing are single-device features. *)
+(** {!search} once per device, each from a copy of [rng] and all on one
+    shared context ([ctx], default: the process default context).  Every
+    device regenerates the same pool and rebuild seed, so the Fisher work
+    (the expensive part) is paid by the first device and every later one
+    only hits the Fisher memo; the cost ranking is per device.  Each
+    device's [r_wall_s] is that device's own search, so the first device's
+    includes the shared Fisher work.  [rng] itself is not advanced. *)

@@ -215,33 +215,6 @@ let t_candidate_filter_matches_dynamic_sweep () =
       (Option.map fst (Static_check.candidate model plans))
   done
 
-let t_static_filter_bit_identical () =
-  (* Acceptance criterion: search results are bit-identical with the static
-     filter on and off, for any worker count. *)
-  let run ~static_filter ~workers =
-    let rng, model, probe = setup () in
-    Unified_search.search ~candidates:25 ~static_filter ~workers
-      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
-  in
-  let reference = run ~static_filter:false ~workers:1 in
-  List.iter
-    (fun workers ->
-      let r = run ~static_filter:true ~workers in
-      Alcotest.(check string) "same best plans"
-        (Unified_search.plans_signature reference.Unified_search.r_best.Unified_search.cd_plans)
-        (Unified_search.plans_signature r.Unified_search.r_best.Unified_search.cd_plans);
-      Alcotest.(check (float 0.0)) "same best latency (bit-identical)"
-        reference.Unified_search.r_best.Unified_search.cd_latency_s
-        r.Unified_search.r_best.Unified_search.cd_latency_s;
-      Alcotest.(check int) "same rejection count"
-        reference.Unified_search.r_rejected r.Unified_search.r_rejected;
-      Alcotest.(check int) "same explored count"
-        reference.Unified_search.r_explored r.Unified_search.r_explored;
-      Alcotest.(check bool) "same quarantine" true
-        (List.map fst reference.Unified_search.r_quarantined
-        = List.map fst r.Unified_search.r_quarantined))
-    [ 1; 2 ]
-
 let t_analyze_model_illegal_plan () =
   (* The CLI contract behind `--analyze --plan`: a known-illegal plan yields
      error findings naming the violated dependence. *)
@@ -310,6 +283,5 @@ let () =
       ("sanitizer", [ quick "agrees with oracle" t_sanitizer_agrees ]);
       ( "search",
         [ quick "filter matches dynamic sweep" t_candidate_filter_matches_dynamic_sweep;
-          quick "static filter bit-identical" t_static_filter_bit_identical;
           quick "analyze finds illegal plan" t_analyze_model_illegal_plan ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -91,7 +91,6 @@ let t_ctx_isolation () =
 let t_legacy_wrapper_equivalence () =
   let _, model, _ = setup () in
   let w = test_workload 6 in
-  Pipeline.clear_cache ();
   let legacy = Pipeline.workload_cost Device.i7 w in
   let explicit = Pipeline.workload_cost ~ctx:(Eval_ctx.create ()) Device.i7 w in
   Alcotest.(check (float 1e-12)) "workload_cost matches" legacy explicit;
@@ -101,11 +100,7 @@ let t_legacy_wrapper_equivalence () =
   Alcotest.(check (float 1e-12)) "evaluate latency matches"
     ev_legacy.Pipeline.ev_latency_s ev_explicit.Pipeline.ev_latency_s;
   Alcotest.(check int) "evaluate params match" ev_legacy.Pipeline.ev_params
-    ev_explicit.Pipeline.ev_params;
-  (* The legacy cache controls drive the default context. *)
-  Pipeline.clear_cache ();
-  Alcotest.(check int) "clear_cache empties the default context" 0
-    (Pipeline.cache_stats ()).Pipeline.cs_size
+    ev_explicit.Pipeline.ev_params
 
 let t_ctx_fork () =
   let parent =

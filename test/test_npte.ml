@@ -117,10 +117,10 @@ let t_pipeline_grouping_faster_and_smaller () =
   Alcotest.(check bool) "fewer macs" true (ev.ev_macs < baseline.ev_macs)
 
 let t_pipeline_memoization_consistent () =
-  Pipeline.clear_cache ();
+  let ctx = Eval_ctx.create () in
   let m = model () in
-  let a = Pipeline.baseline Device.i7 m in
-  let b = Pipeline.baseline Device.i7 m in
+  let a = Pipeline.baseline ~ctx Device.i7 m in
+  let b = Pipeline.baseline ~ctx Device.i7 m in
   Alcotest.(check (float 1e-12)) "memoized result identical"
     a.Pipeline.ev_latency_s b.Pipeline.ev_latency_s
 

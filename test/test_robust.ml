@@ -1,5 +1,5 @@
 (* Robustness tests: the error taxonomy, numeric guards, deterministic
-   fault injection, the evaluation supervisor, checkpoint round-trips, and
+   fault injection, checkpoint round-trips, the bounded cost memo, and
    the hardened unified search (NaN-guard quarantine, completion under
    injected faults, checkpoint/resume determinism). *)
 
@@ -115,38 +115,6 @@ let t_fault_targets () =
     (Float.is_nan (Fault.corrupt_float only_fisher ~key:1 Fault.Fisher_oracle 1.0));
   Alcotest.(check (float 0.0)) "corrupt spares" 1.0
     (Fault.corrupt_float only_fisher ~key:1 Fault.Cost_oracle 1.0)
-
-(* --- supervisor --------------------------------------------------------- *)
-
-let t_supervisor_quarantine () =
-  let sup = Supervisor.create () in
-  (match Supervisor.run sup ~label:"good" (fun () -> 1) with
-  | Ok 1 -> ()
-  | _ -> Alcotest.fail "healthy eval");
-  (match Supervisor.run sup ~label:"bad" (fun () -> Nas_error.fail (Invalid_plan "x")) with
-  | Error (Nas_error.Invalid_plan _) -> ()
-  | _ -> Alcotest.fail "failure not classified");
-  Alcotest.(check int) "evaluated" 2 (Supervisor.evaluated sup);
-  Alcotest.(check (list (pair string int))) "attribution" [ ("invalid-plan", 1) ]
-    (Supervisor.class_counts sup);
-  match Supervisor.quarantined sup with
-  | [ ("bad", Nas_error.Invalid_plan _) ] -> ()
-  | _ -> Alcotest.fail "quarantine entry"
-
-let t_supervisor_budget () =
-  let sup = Supervisor.create ~budget:2 () in
-  ignore (Supervisor.run sup ~label:"a" (fun () -> ()));
-  ignore (Supervisor.run sup ~label:"b" (fun () -> ()));
-  Alcotest.(check bool) "exhausted" true (Supervisor.budget_exhausted sup);
-  Alcotest.(check bool) "not yet refused" false (Supervisor.budget_hit sup);
-  let ran = ref false in
-  (match Supervisor.run sup ~label:"c" (fun () -> ran := true) with
-  | Error (Nas_error.Budget_exceeded _) -> ()
-  | _ -> Alcotest.fail "budget not enforced");
-  Alcotest.(check bool) "refused thunk never ran" false !ran;
-  Alcotest.(check bool) "refusal recorded" true (Supervisor.budget_hit sup);
-  Alcotest.(check int) "refusal not an evaluation" 2 (Supervisor.evaluated sup);
-  Alcotest.(check int) "refusal not quarantined" 0 (List.length (Supervisor.quarantined sup))
 
 (* --- checkpoint --------------------------------------------------------- *)
 
@@ -276,62 +244,98 @@ let t_search_fault_free_unchanged () =
 
 let t_search_checkpoint_resume () =
   let path = tmp_path "nas_pte_search_ckpt.bin" in
-  Checkpoint.remove ~path;
-  let run ?budget ?checkpoint () =
+  let run ?budget ?checkpoint ~workers () =
     let rng, model, probe = setup () in
     Unified_search.search ~candidates:20 ?budget ?checkpoint ~checkpoint_every:5
-      ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
+      ~workers ~rng:(Rng.split rng) ~device:Device.i7 ~probe model
   in
-  let full = run () in
-  let partial = run ~budget:7 ~checkpoint:path () in
-  Alcotest.(check bool) "budget stop reported" false partial.Unified_search.r_complete;
-  Alcotest.(check bool) "checkpoint written" true (Sys.file_exists path);
-  let resumed = run ~checkpoint:path () in
-  Alcotest.(check bool) "resumed run completes" true resumed.Unified_search.r_complete;
-  Alcotest.(check bool) "resume skips the explored prefix" true
-    (resumed.Unified_search.r_evaluated < full.Unified_search.r_explored);
-  Alcotest.(check (float 1e-12)) "same best latency as uninterrupted"
-    full.Unified_search.r_best.Unified_search.cd_latency_s
-    resumed.Unified_search.r_best.Unified_search.cd_latency_s;
-  Alcotest.(check string) "same best plans as uninterrupted"
-    (Unified_search.plans_signature full.Unified_search.r_best.Unified_search.cd_plans)
-    (Unified_search.plans_signature resumed.Unified_search.r_best.Unified_search.cd_plans);
-  Alcotest.(check int) "same rejection accounting" full.Unified_search.r_rejected
-    resumed.Unified_search.r_rejected;
+  let full = run ~workers:1 () in
+  (* The unified loop checkpoints periodically at any worker count, so an
+     interrupted parallel run resumes to the uninterrupted serial result. *)
+  List.iter
+    (fun workers ->
+      let msg s = Printf.sprintf "workers=%d: %s" workers s in
+      Checkpoint.remove ~path;
+      let partial = run ~budget:7 ~checkpoint:path ~workers () in
+      Alcotest.(check bool) (msg "budget stop reported") false
+        partial.Unified_search.r_complete;
+      Alcotest.(check bool) (msg "checkpoint written") true (Sys.file_exists path);
+      let resumed = run ~checkpoint:path ~workers () in
+      Alcotest.(check bool) (msg "resumed run completes") true
+        resumed.Unified_search.r_complete;
+      Alcotest.(check bool) (msg "resume skips the explored prefix") true
+        (resumed.Unified_search.r_evaluated < full.Unified_search.r_explored);
+      Alcotest.(check (float 1e-12)) (msg "same best latency as uninterrupted")
+        full.Unified_search.r_best.Unified_search.cd_latency_s
+        resumed.Unified_search.r_best.Unified_search.cd_latency_s;
+      Alcotest.(check string) (msg "same best plans as uninterrupted")
+        (Unified_search.plans_signature full.Unified_search.r_best.Unified_search.cd_plans)
+        (Unified_search.plans_signature resumed.Unified_search.r_best.Unified_search.cd_plans);
+      Alcotest.(check int) (msg "same rejection accounting")
+        full.Unified_search.r_rejected resumed.Unified_search.r_rejected)
+    [ 1; 2 ];
+  Checkpoint.remove ~path
+
+let t_search_checkpoint_other_seed () =
+  (* A checkpoint written by a run with another seed must not be resumed:
+     its pool, rebuild seed, rejections and incumbent belong to that run. *)
+  let path = tmp_path "nas_pte_search_ckpt_seed.bin" in
+  Checkpoint.remove ~path;
+  let run ?budget ?checkpoint seed =
+    let rng = Rng.create seed in
+    let model = Models.build (Models.resnet18 ()) rng in
+    let probe = Exp_common.probe_batch (Rng.split rng) ~input_size:16 in
+    Unified_search.search ~candidates:14 ?budget ?checkpoint ~rng:(Rng.split rng)
+      ~device:Device.i7 ~probe model
+  in
+  let partial = run ~budget:6 ~checkpoint:path 1 in
+  Alcotest.(check bool) "seed-1 checkpoint written" false
+    partial.Unified_search.r_complete;
+  let fresh = run 2 in
+  let on_foreign = run ~checkpoint:path 2 in
+  Alcotest.(check int) "evaluates its own pool"
+    fresh.Unified_search.r_evaluated on_foreign.Unified_search.r_evaluated;
+  Alcotest.(check int) "own rejections" fresh.Unified_search.r_rejected
+    on_foreign.Unified_search.r_rejected;
+  Alcotest.(check string) "own best plans"
+    (Unified_search.plans_signature fresh.Unified_search.r_best.Unified_search.cd_plans)
+    (Unified_search.plans_signature on_foreign.Unified_search.r_best.Unified_search.cd_plans);
+  Alcotest.(check (float 0.0)) "own best latency"
+    fresh.Unified_search.r_best.Unified_search.cd_latency_s
+    on_foreign.Unified_search.r_best.Unified_search.cd_latency_s;
   Checkpoint.remove ~path
 
 (* --- bounded pipeline cache ---------------------------------------------- *)
 
 let t_cache_bounded () =
-  Pipeline.clear_cache ();
-  Pipeline.set_cache_capacity 4;
+  let ctx = Eval_ctx.create ~cache_capacity:4 () in
   let w co =
     { Conv_impl.w_in_channels = 4; w_out_channels = co; w_kernel = 3; w_stride = 1;
       w_groups = 1; w_spatial = 8; w_label = Printf.sprintf "test-co%d" co }
   in
-  List.iter (fun co -> ignore (Pipeline.workload_cost Device.i7 (w co))) [ 1; 2; 3; 4; 5; 6 ];
-  let s = Pipeline.cache_stats () in
-  Alcotest.(check bool) "size capped" true (s.Pipeline.cs_size <= 4);
+  List.iter
+    (fun co -> ignore (Pipeline.workload_cost ~ctx Device.i7 (w co)))
+    [ 1; 2; 3; 4; 5; 6 ];
+  let s = Eval_ctx.cost_stats ctx in
+  Alcotest.(check bool) "size capped" true (s.Bounded_cache.cs_size <= 4);
   Alcotest.(check int) "all were misses" 6 s.cs_misses;
   Alcotest.(check bool) "evictions happened" true (s.cs_evictions > 0);
   (* Re-costing an evicted workload must reproduce the same value. *)
-  let a = Pipeline.workload_cost Device.i7 (w 1) in
-  Pipeline.clear_cache ();
-  Pipeline.set_cache_capacity 8192;
-  let b = Pipeline.workload_cost Device.i7 (w 1) in
+  let a = Pipeline.workload_cost ~ctx Device.i7 (w 1) in
+  let b = Pipeline.workload_cost ~ctx:(Eval_ctx.create ()) Device.i7 (w 1) in
   Alcotest.(check (float 1e-12)) "eviction is value-transparent" a b
 
 let t_cache_stats_counts () =
-  Pipeline.clear_cache ();
+  let ctx = Eval_ctx.create ~cache_capacity:4 () in
   let w =
     { Conv_impl.w_in_channels = 4; w_out_channels = 4; w_kernel = 3; w_stride = 1;
       w_groups = 1; w_spatial = 8; w_label = "test-stats" }
   in
-  ignore (Pipeline.workload_cost Device.i7 w);
-  ignore (Pipeline.workload_cost Device.i7 w);
-  ignore (Pipeline.workload_cost Device.i7 w);
-  let s = Pipeline.cache_stats () in
-  Alcotest.(check int) "one miss" 1 s.Pipeline.cs_misses;
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  ignore (Pipeline.workload_cost ~ctx Device.i7 w);
+  let s = Eval_ctx.cost_stats ctx in
+  Alcotest.(check int) "one miss" 1 s.Bounded_cache.cs_misses;
   Alcotest.(check int) "two hits" 2 s.cs_hits;
   Alcotest.(check int) "one entry" 1 s.cs_size
 
@@ -366,9 +370,6 @@ let () =
         [ quick "deterministic" t_fault_deterministic;
           quick "rates" t_fault_rates;
           quick "targets" t_fault_targets ] );
-      ( "supervisor",
-        [ quick "quarantine" t_supervisor_quarantine;
-          quick "budget" t_supervisor_budget ] );
       ( "checkpoint",
         [ quick "roundtrip" t_checkpoint_roundtrip;
           quick "garbage" t_checkpoint_rejects_garbage;
@@ -377,7 +378,8 @@ let () =
         [ quick "nan fisher quarantined" t_search_nan_fisher_quarantined;
           quick "survives 30% faults" t_search_survives_30pct_faults;
           quick "fault-free identity" t_search_fault_free_unchanged;
-          quick "checkpoint resume" t_search_checkpoint_resume ] );
+          quick "checkpoint resume" t_search_checkpoint_resume;
+          quick "checkpoint of another seed" t_search_checkpoint_other_seed ] );
       ( "cache",
         [ quick "bounded" t_cache_bounded; quick "stats" t_cache_stats_counts ] );
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -30,23 +30,43 @@ let t_unified_deterministic () =
 
 let t_unified_multi_matches_single_pool () =
   let rng, model, probe = setup () in
-  let results =
-    Unified_search.search_multi ~candidates:25 ~rng:(Rng.split rng)
-      ~devices:[ Device.i7; Device.maxwell_mgpu ] ~probe model
+  let search_rng () = Rng.split (Rng.copy rng) in
+  let multi devices =
+    let ctx = Eval_ctx.create () in
+    let results =
+      Unified_search.search_multi ~candidates:25 ~ctx ~rng:(search_rng ()) ~devices
+        ~probe model
+    in
+    (results, (Eval_ctx.fisher_stats ctx).Bounded_cache.cs_misses)
   in
+  let _, misses_one = multi [ Device.i7 ] in
+  let results, misses_two = multi [ Device.i7; Device.maxwell_mgpu ] in
   Alcotest.(check int) "one result per device" 2 (List.length results);
+  (* The second device regenerates the same pool from the same rebuild
+     seed, so it only hits the shared Fisher memo. *)
+  Alcotest.(check int) "second device adds no fisher misses" misses_one misses_two;
   List.iter
-    (fun (_, r) ->
+    (fun (device, r) ->
       Alcotest.(check bool) "baseline >= best" true
         (r.Unified_search.r_baseline.Pipeline.ev_latency_s
-        >= r.r_best.Unified_search.cd_latency_s))
-    results;
-  (* The Fisher-filter statistics are shared between devices. *)
-  match results with
-  | [ (_, a); (_, b) ] ->
-      Alcotest.(check int) "shared rejections" a.Unified_search.r_rejected
-        b.Unified_search.r_rejected
-  | _ -> ()
+        >= r.r_best.Unified_search.cd_latency_s);
+      (* Each device's result is exactly that of a lone search on a fresh
+         context. *)
+      let single =
+        Unified_search.search ~candidates:25 ~ctx:(Eval_ctx.create ())
+          ~rng:(search_rng ()) ~device ~probe model
+      in
+      let name = device.Device.short_name in
+      Alcotest.(check (float 0.0)) (name ^ ": latency")
+        single.Unified_search.r_best.Unified_search.cd_latency_s
+        r.r_best.Unified_search.cd_latency_s;
+      Alcotest.(check (float 0.0)) (name ^ ": fisher")
+        single.r_best.cd_fisher r.r_best.cd_fisher;
+      Alcotest.(check int) (name ^ ": params") single.r_best.cd_params
+        r.r_best.cd_params;
+      Alcotest.(check int) (name ^ ": rejected") single.r_rejected r.r_rejected;
+      Alcotest.(check int) (name ^ ": explored") single.r_explored r.r_explored)
+    results
 
 let t_winning_plans_are_legal () =
   let rng, model, probe = setup () in
