@@ -433,14 +433,15 @@ let () =
     (List.length tr.Sanitizer.tt_disagreements)
     (100.0 *. Sanitizer.typed_unknown_rate tr);
   if not (Sanitizer.typed_passed tr) then (
-    Printf.eprintf "TYPED FUZZER FAILURE: type system diverges from the linter/oracle\n";
+    Printf.eprintf "TYPED FUZZER FAILURE: type system diverges from apply/oracle\n";
     exit 1);
   Printf.fprintf oc
-    "  \"typed_fuzzer\": {\"cases\": %d, \"typed_lint_clean\": %d, \
+    "  \"typed_fuzzer\": {\"cases\": %d, \"typed_applied\": %d, \
      \"env_agree\": %d, \"legal_agree\": %d, \"unknown\": %d, \
-     \"survivors_typed\": %d, \"dirty_rejected\": %d, \"disagreements\": %d},\n"
-    tr.Sanitizer.tt_total tr.tt_typed_lint_clean tr.tt_env_agree tr.tt_legal_agree
-    tr.tt_unknown tr.tt_survivors_typed tr.tt_dirty_rejected
+     \"steps_checked\": %d, \"survivors_typed\": %d, \"noop_rejected\": %d, \
+     \"disagreements\": %d},\n"
+    tr.Sanitizer.tt_total tr.tt_typed_applied tr.tt_env_agree tr.tt_legal_agree
+    tr.tt_unknown tr.tt_steps_checked tr.tt_survivors_typed tr.tt_noop_rejected
     (List.length tr.Sanitizer.tt_disagreements);
   (* The serial run's observability report: per-phase time breakdown and
      the full counter set, as rendered by Report.to_json. *)

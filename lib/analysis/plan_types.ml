@@ -8,12 +8,12 @@
    a pure fold over abstract states and keeps the enumerator's state space
    small.
 
-   The judgment is deliberately *strict*: a step is well-typed iff the
-   linter finds nothing at all — neither an error (the step would be
-   rejected or would raise [Poly.Illegal]) nor a warning (the step would
-   apply but change nothing).  Strictness buys an exact characterization,
-   [check] succeeds ⇔ [Plan_lint.lint] is clean, which the differential
-   fuzzer in {!Sanitizer} holds in both directions. *)
+   This is the only step-level judgment, and it is *strict*: a step is
+   well-typed iff it draws no finding at all.  An [Error] finding means
+   the concrete [Plan_lint.apply] raises [Poly.Illegal]; a [Warn] finding
+   ([no-op], [unroll-overflow]) means the step applies but changes nothing
+   the environment tracks.  The differential fuzzer in {!Sanitizer} and an
+   exhaustive test hold this against [Plan_lint.apply] itself. *)
 
 type env = {
   te_domain : (string * int) list;
@@ -159,7 +159,7 @@ let infer env step =
         let digits = List.nth env.te_loops i in
         if f = 1 then
           Error
-            [ Diagnostic.error ~loop:i ~code:"useless-step"
+            [ Diagnostic.warn ~loop:i ~code:"no-op"
                 "%s: factor 1 leaves the schedule unchanged" rule ]
         else
           match digits with
@@ -220,7 +220,7 @@ let infer env step =
       | [] ->
           if i = j then
             Error
-              [ Diagnostic.error ~loop:i ~code:"useless-step"
+              [ Diagnostic.warn ~loop:i ~code:"no-op"
                   "%s: interchange of dimension %d with itself is a no-op" rule i ]
           else
             let li = List.nth env.te_loops i and lj = List.nth env.te_loops j in
@@ -239,7 +239,7 @@ let infer env step =
                 (String.concat "," (List.map string_of_int p)) ]
       else if p = List.init n (fun i -> i) then
         Error
-          [ Diagnostic.error ~code:"useless-step"
+          [ Diagnostic.warn ~code:"no-op"
               "%s: reorder by the identity permutation is a no-op" rule ]
       else
         let arr = Array.of_list env.te_loops in
@@ -284,16 +284,21 @@ let infer env step =
       match bad_dim i with
       | _ :: _ as ds -> Error ds
       | [] ->
-          if f <= 1 then
+          if f <= 0 then
             Error
-              [ Diagnostic.error ~loop:i ~code:"useless-step"
-                  "%s: unroll by %d leaves the loop rolled" rule f ]
+              [ Diagnostic.error ~loop:i ~code:"degenerate-factor"
+                  "%s: unroll factor %d is not positive" rule f ]
+          else if f = 1 then
+            Error
+              [ Diagnostic.warn ~loop:i ~code:"no-op"
+                  "%s: unroll by 1 leaves the loop rolled" rule ]
           else
             let e = loop_extent (List.nth env.te_loops i) in
             if f > e then
               Error
-                [ Diagnostic.error ~loop:i ~code:"unroll-overflow"
-                    "%s: unroll factor %d exceeds the loop extent %d" rule f e ]
+                [ Diagnostic.warn ~loop:i ~code:"unroll-overflow"
+                    "%s: unroll factor %d exceeds the loop extent %d and will be \
+                     clamped" rule f e ]
             else Ok env)
   | Plan_lint.Vectorize i | Plan_lint.Parallelize i -> (
       match bad_dim i with _ :: _ as ds -> Error ds | [] -> Ok env)
@@ -378,6 +383,30 @@ let check ?(deps = []) env steps =
             Error
               [ Diagnostic.error ~code:"legality-unknown"
                   "T-Legal: direction analysis is undecided: %s" why ])
+
+(* Walk a concrete schedule: warning-only steps are recorded and applied,
+   the first error stops the walk.  A raise from [Plan_lint.apply] after
+   the judgment let the step through (e.g. fusing GPU-bound loops, which
+   the environment does not track) is reported, not propagated. *)
+let lint (t : Poly.t) steps =
+  let rec go t diags = function
+    | [] -> (Some t, diags)
+    | step :: rest -> (
+        let found =
+          match infer (env_of_schedule t) step with Ok _ -> [] | Error ds -> ds
+        in
+        let diags = diags @ found in
+        if List.exists Diagnostic.is_error found then (None, diags)
+        else
+          match Plan_lint.apply t step with
+          | t' -> go t' diags rest
+          | exception Poly.Illegal msg ->
+              ( None,
+                diags
+                @ [ Diagnostic.error ~code:"illegal-transformation"
+                      "step %s rejected: %s" (Plan_lint.to_string step) msg ] ))
+  in
+  go t [] steps
 
 (* --- rule inversion ----------------------------------------------------- *)
 

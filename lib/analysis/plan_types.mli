@@ -6,20 +6,21 @@
     of every loop — exactly the part of a {!Poly.t} that decides whether
     a step is applicable, with the per-loop annotations erased.
 
-    The judgment is {e strict}: a step is well-typed iff {!Plan_lint.lint}
-    would record {e nothing} for it — no error (the step would be rejected
-    or raise {!Poly.Illegal}) and no warning (the step would apply but be a
-    no-op).  This gives an exact characterization in both directions:
+    {!infer} is the only step-level judgment, and it is {e strict}: a
+    step is well-typed iff it draws no finding at all.  The findings are
+    exact against the concrete semantics {!Plan_lint.apply}:
 
-    - soundness — [check env steps = Ok _] implies [Plan_lint.lint]
-      applies the whole plan and reports zero diagnostics;
-    - completeness — a plan that lints clean is well-typed.
+    - an [Error] finding — {!Plan_lint.apply} raises {!Poly.Illegal};
+    - only [Warn] findings ([no-op], [unroll-overflow]) — the step
+      applies and leaves {!env_of_schedule} unchanged;
+    - [Ok env'] — the step applies and [env'] is the abstraction of the
+      result.
 
-    Both directions are fuzzed continuously by {!Sanitizer.run_typed} and
-    pinned exhaustively at small sizes by the test-suite.  Inverting the
-    rules yields a generator ({!choices}, {!enumerate}, {!sample_plan})
-    that emits only well-typed plans by construction — no rejection
-    sampling. *)
+    {!Sanitizer.run_typed} fuzzes this continuously and the test-suite
+    pins it exhaustively at small sizes.  {!lint} walks a concrete plan
+    with it, and inverting the rules yields a generator ({!choices},
+    {!enumerate}, {!sample_plan}) that emits only well-typed plans by
+    construction — no rejection sampling. *)
 
 type env = {
   te_domain : (string * int) list;
@@ -62,10 +63,12 @@ val pp : Format.formatter -> env -> unit
 
 val infer : env -> Plan_lint.step -> (env, Diagnostic.t list) result
 (** One-step judgment: [Ok env'] with the successor state when the step
-    is well-typed, [Error diags] naming the violated rule otherwise.  The
-    successor mirrors {!Plan_lint.apply} exactly:
+    is well-typed, [Error diags] naming the violated rule otherwise —
+    [Error]-severity when {!Plan_lint.apply} would raise, [Warn]-severity
+    when the step would apply as a no-op.  The successor mirrors
+    {!Plan_lint.apply} exactly:
     [infer (env_of_schedule s) step = Ok (env_of_schedule (apply s step))]
-    whenever the step is well-typed (fuzzed by {!Sanitizer.run_typed}). *)
+    whenever the step is well-typed. *)
 
 val check :
   ?deps:Poly_legality.dependence list ->
@@ -77,6 +80,14 @@ val check :
     dependences (rule [T-Legal], decided by {!Direction.check}); an
     [Unknown] direction verdict is conservatively rejected with code
     ["legality-unknown"]. *)
+
+val lint : Poly.t -> Plan_lint.step list -> Poly.t option * Diagnostic.t list
+(** Walk a plan over a concrete schedule, folding {!infer} over it: each
+    step's warnings are recorded and the step is applied; the first error
+    stops the walk (later steps would be judged against a schedule that
+    cannot exist).  Returns the final schedule when every step applied;
+    an unexpected {!Poly.Illegal} from {!Plan_lint.apply} is reported as
+    [illegal-transformation]. *)
 
 val divisors_gt1 : int -> int list
 (** Divisors of [e] greater than 1, ascending — the inverted image of
@@ -94,8 +105,9 @@ val choices : env -> Plan_lint.step list
 
 val enumerate : max_len:int -> env -> Plan_lint.step list list
 (** All well-typed plans of length 1..[max_len], by depth-first expansion
-    of {!choices} — exactly the plans that lint clean over the same
-    bounded argument universe (the exhaustiveness test pins this). *)
+    of {!choices} — exactly the plans of the same bounded argument
+    universe whose every step {!infer} accepts (the exhaustiveness test
+    pins this). *)
 
 val sample_step : Rng.t -> env -> Plan_lint.step option
 (** One uniformly-kinded well-typed step: draw a step kind among those

@@ -70,7 +70,8 @@ let random_step rng (s : Poly.t) =
         Some Plan_lint.Depthwise
       else None
 
-let random_plan rng s =
+(* [probe] sees every step tried, including those [apply] rejects. *)
+let random_plan ?(probe = fun _ _ -> ()) rng s =
   let steps = 1 + Rng.int rng 4 in
   let rec build s acc tries remaining =
     if remaining = 0 || tries > 20 then (s, List.rev acc)
@@ -78,6 +79,7 @@ let random_plan rng s =
       match random_step rng s with
       | None -> build s acc (tries + 1) remaining
       | Some step -> (
+          probe s step;
           match Plan_lint.apply s step with
           | s' -> build s' (step :: acc) tries (remaining - 1)
           | exception Poly.Illegal _ -> build s acc (tries + 1) remaining)
@@ -159,6 +161,27 @@ let run ?max_points ~seed ~n () =
 
 (* --- typed-vs-oracle differential fuzzer ------------------------------- *)
 
+let step_oracle (s : Poly.t) step =
+  let env = Plan_types.env_of_schedule s in
+  let applied =
+    match Plan_lint.apply s step with s' -> Some s' | exception Poly.Illegal _ -> None
+  in
+  let first ds = match ds with d :: _ -> Diagnostic.to_string d | [] -> "no finding" in
+  match (Plan_types.infer env step, applied) with
+  | Ok env', Some s' ->
+      if Plan_types.equal env' (Plan_types.env_of_schedule s') then Ok applied
+      else Error "predicted env diverges from the applied schedule"
+  | Ok _, None -> Error "well-typed step raised Poly.Illegal"
+  | Error ds, None ->
+      if Diagnostic.errors ds <> [] then Ok None
+      else Error ("apply raised on a step judged " ^ first ds)
+  | Error ds, Some s' ->
+      if Diagnostic.errors ds <> [] then
+        Error ("apply succeeded on " ^ first (Diagnostic.errors ds))
+      else if ds = [] then Error "step rejected without a finding"
+      else if Plan_types.equal env (Plan_types.env_of_schedule s') then Ok applied
+      else Error ("the step changed the env despite " ^ first ds)
+
 type typed_case = {
   tp_index : int;
   tp_plan : string;
@@ -168,12 +191,13 @@ type typed_case = {
 
 type typed_report = {
   tt_total : int;
-  tt_typed_lint_clean : int;
+  tt_typed_applied : int;
   tt_env_agree : int;
   tt_legal_agree : int;
   tt_unknown : int;
+  tt_steps_checked : int;
   tt_survivors_typed : int;
-  tt_dirty_rejected : int;
+  tt_noop_rejected : int;
   tt_disagreements : typed_case list;
 }
 
@@ -183,16 +207,18 @@ let typed_unknown_rate r =
 let typed_passed ?(max_unknown_rate = 0.2) r =
   r.tt_disagreements = [] && typed_unknown_rate r < max_unknown_rate
 
-(* Each case fuzzes both directions of the typing judgment's exactness:
-   a plan emitted by the typed generator must lint clean, predict the
-   applied schedule's abstraction digit-for-digit and agree with the
-   sampling oracle whenever [T-Legal] is decisive; a rejection-sampled
-   random plan must be well-typed exactly when its lint is clean (zero
-   diagnostics). *)
+(* Each case fuzzes the typing judgment against the concrete semantics
+   from both sides: a plan emitted by the typed generator must apply step
+   by step, predict the applied schedule's abstraction digit-for-digit
+   and agree with the sampling oracle whenever [T-Legal] is decisive;
+   every step tried while rejection-sampling a random plan, applicable or
+   not, must pass {!step_oracle}, and the surviving plan must be
+   well-typed unless one of its steps is a no-op. *)
 let run_typed ?max_points ~seed ~n () =
   let rng = Rng.create seed in
-  let clean = ref 0 and env_agree = ref 0 and legal_agree = ref 0 in
-  let unknown = ref 0 and survivors = ref 0 and dirty = ref 0 in
+  let applied = ref 0 and env_agree = ref 0 and legal_agree = ref 0 in
+  let unknown = ref 0 and steps_checked = ref 0 in
+  let survivors = ref 0 and noop = ref 0 in
   let disagreements = ref [] in
   let fail i steps kind fmt =
     Printf.ksprintf
@@ -210,18 +236,31 @@ let run_typed ?max_points ~seed ~n () =
     | Some m -> Poly_legality.check ~max_points:m s deps
     | None -> Poly_legality.check s deps
   in
+  (* One step through [step_oracle], recording a disagreement. *)
+  let check_step i plan s step =
+    incr steps_checked;
+    match step_oracle s step with
+    | Ok s' -> s'
+    | Error detail ->
+        fail i plan "oracle-mismatch" "%s: %s" (Plan_lint.to_string step) detail;
+        None
+  in
   for i = 0 to n - 1 do
     let case_rng = Rng.split rng in
     let nest = random_nest case_rng in
     let base = Loop_nest.baseline_schedule nest in
     let env0 = Plan_types.env_of_schedule base in
-    (* Direction 1: well-typed by construction ⇒ lints clean, abstracts
-       the applied schedule exactly, and [T-Legal] agrees with the
-       oracle. *)
+    (* Direction 1: well-typed by construction ⇒ applies, abstracts the
+       applied schedule exactly, and [T-Legal] agrees with the oracle. *)
     let steps, env_t = Plan_types.sample_plan case_rng ~max_len:4 env0 in
-    (match Plan_lint.lint base steps with
-    | Some s, [] ->
-        incr clean;
+    let final =
+      List.fold_left
+        (fun s step -> Option.bind s (fun s -> check_step i steps s step))
+        (Some base) steps
+    in
+    (match final with
+    | Some s ->
+        incr applied;
         if Plan_types.equal (Plan_types.env_of_schedule s) env_t then incr env_agree
         else fail i steps "env-mismatch" "predicted env diverges from the applied schedule";
         let deps = random_deps case_rng in
@@ -239,47 +278,41 @@ let run_typed ?max_points ~seed ~n () =
                 else incr legal_agree
             | _ ->
                 fail i steps "typed-plan-rejected" "the generator emitted an ill-typed plan"))
-    | _, diags ->
-        fail i steps "typed-but-lint-dirty" "lint found: %s"
-          (String.concat "; " (List.map (fun d -> d.Diagnostic.d_msg) diags)));
-    (* Direction 2: rejection-sampled plans are well-typed exactly when
-       their lint is clean. *)
-    let s_r, steps_r = random_plan case_rng base in
-    (match (Plan_lint.lint base steps_r, Plan_types.check env0 steps_r) with
-    | (Some s, []), Ok env ->
-        if Plan_types.equal (Plan_types.env_of_schedule s) env then begin
-          incr survivors;
-          ignore s_r
-        end
+    | None -> (* [check_step] recorded the step that did not apply *) ());
+    (* Direction 2: every step tried while sampling a random plan meets
+       the concrete oracle; the applied plan types unless it holds a
+       no-op step. *)
+    let s_r, steps_r =
+      random_plan ~probe:(fun s step -> ignore (check_step i [ step ] s step)) case_rng base
+    in
+    match Plan_types.check env0 steps_r with
+    | Ok env ->
+        if Plan_types.equal (Plan_types.env_of_schedule s_r) env then incr survivors
         else fail i steps_r "env-mismatch" "survivor env diverges from the applied schedule"
-    | (Some _, []), Error ds ->
-        fail i steps_r "survivor-ill-typed" "clean survivor rejected: %s"
-          (match ds with d :: _ -> d.Diagnostic.d_msg | [] -> "")
-    | (_, _ :: _), Error _ -> incr dirty
-    | (_, diags), Ok _ ->
-        fail i steps_r "dirty-but-well-typed" "lint found %d diagnostics yet the plan typed"
-          (List.length diags)
-    | (None, []), _ ->
-        (* unreachable: lint only aborts with an error diagnostic *)
-        fail i steps_r "lint-aborted-silently" "lint returned no schedule and no diagnostics")
+    | Error ds ->
+        if Diagnostic.errors ds = [] then incr noop
+        else
+          fail i steps_r "applied-but-ill-typed" "an applied plan drew %s"
+            (Diagnostic.to_string (List.hd (Diagnostic.errors ds)))
   done;
   { tt_total = n;
-    tt_typed_lint_clean = !clean;
+    tt_typed_applied = !applied;
     tt_env_agree = !env_agree;
     tt_legal_agree = !legal_agree;
     tt_unknown = !unknown;
+    tt_steps_checked = !steps_checked;
     tt_survivors_typed = !survivors;
-    tt_dirty_rejected = !dirty;
+    tt_noop_rejected = !noop;
     tt_disagreements = List.rev !disagreements }
 
 let pp_typed_report ppf r =
   Format.fprintf ppf
-    "@[<v>typecheck-fuzz: %d cases · %d typed-lint-clean · %d env-agree · %d \
-     legal-agree · %d unknown (%.1f%%) · %d survivors-typed · %d dirty-rejected \
-     · %d disagreements@]"
-    r.tt_total r.tt_typed_lint_clean r.tt_env_agree r.tt_legal_agree r.tt_unknown
+    "@[<v>typecheck-fuzz: %d cases · %d typed-applied · %d env-agree · %d \
+     legal-agree · %d unknown (%.1f%%) · %d steps vs apply · %d survivors-typed · \
+     %d no-op-rejected · %d disagreements@]"
+    r.tt_total r.tt_typed_applied r.tt_env_agree r.tt_legal_agree r.tt_unknown
     (100.0 *. typed_unknown_rate r)
-    r.tt_survivors_typed r.tt_dirty_rejected
+    r.tt_steps_checked r.tt_survivors_typed r.tt_noop_rejected
     (List.length r.tt_disagreements);
   List.iter
     (fun c ->

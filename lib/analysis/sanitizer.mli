@@ -41,31 +41,41 @@ val pp_report : Format.formatter -> report -> unit
 
 (** {1 Typed-vs-oracle differential fuzzer}
 
-    Fuzzes both directions of {!Plan_types}'s exactness contract on the
-    same seeded corpus of random convolution nests: a plan emitted by the
-    typed generator must lint clean ({!Plan_lint.lint} applies it with
-    zero diagnostics), must predict the applied schedule's abstraction
+    Holds the plan typing judgment {!Plan_types.infer} against the
+    concrete semantics {!Plan_lint.apply} on the same seeded corpus of
+    random convolution nests.  A plan emitted by the typed generator must
+    apply step by step, must predict the applied schedule's abstraction
     digit-for-digit, and its [T-Legal] verdict must agree with the
-    sampling oracle {!Poly_legality.check}; conversely a rejection-sampled
-    random plan must be well-typed exactly when its lint is clean.  The CI
-    gate ({!typed_passed}): zero disagreements, [Unknown] rate below
-    20%. *)
+    sampling oracle {!Poly_legality.check}.  Every step tried while
+    rejection-sampling a random plan, applicable or not, must pass
+    {!step_oracle}.  The CI gate ({!typed_passed}): zero disagreements,
+    [Unknown] rate below 20%. *)
+
+val step_oracle : Poly.t -> Plan_lint.step -> (Poly.t option, string) result
+(** Judge one step with {!Plan_types.infer} on the schedule's abstraction
+    and check the verdict against {!Plan_lint.apply}: an [Error] finding
+    iff [apply] raises; only [Warn] findings imply [apply] succeeds
+    without changing {!Plan_types.env_of_schedule}; [Ok env'] implies
+    [env'] abstracts the applied schedule.  [Ok (Some s')] when they agree
+    and the step applied, [Ok None] when they agree it is rejected,
+    [Error detail] on a disagreement. *)
 
 type typed_case = {
   tp_index : int;  (** corpus position, for replay *)
-  tp_plan : string;  (** the plan, in {!Plan_lint.of_string} syntax *)
-  tp_kind : string;  (** which exactness direction broke *)
+  tp_plan : string;  (** the plan (or the one step), in {!Plan_lint.of_string} syntax *)
+  tp_kind : string;  (** which check broke *)
   tp_detail : string;  (** human-readable evidence *)
 }
 
 type typed_report = {
   tt_total : int;  (** corpus cases (each fuzzes one typed + one random plan) *)
-  tt_typed_lint_clean : int;  (** typed-generated plans that linted clean *)
+  tt_typed_applied : int;  (** typed-generated plans that applied step by step *)
   tt_env_agree : int;  (** typed plans whose predicted env matched the schedule *)
   tt_legal_agree : int;  (** decisive [T-Legal] verdicts agreeing with the oracle *)
   tt_unknown : int;  (** [T-Legal] undecided (direction analysis [Unknown]) *)
-  tt_survivors_typed : int;  (** lint-clean random plans that typed *)
-  tt_dirty_rejected : int;  (** linted-dirty random plans correctly rejected *)
+  tt_steps_checked : int;  (** steps held against {!step_oracle}, both directions *)
+  tt_survivors_typed : int;  (** applied random plans that typed *)
+  tt_noop_rejected : int;  (** applied random plans rejected only by a no-op warning *)
   tt_disagreements : typed_case list;  (** exactness violations, in corpus order *)
 }
 

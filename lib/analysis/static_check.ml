@@ -12,19 +12,16 @@ let nest_of_site (site : Conv_impl.site) =
     nc_groups = site.Conv_impl.groups }
 
 (* The pre-Fisher candidate filter.  Scans sites in index order and
-   returns the first one whose plan the shape analysis rejects — the same
-   site the dynamic [Site_plan.valid] sweep would trip over, because
-   [Shape_infer.check_impl] is diagnostically equivalent to
-   [Conv_impl.valid].  [None] means the candidate passes the filter. *)
+   returns the first one whose implementation [Conv_impl.check] rejects,
+   with its diagnostics.  [None] means the candidate passes the filter. *)
 let candidate (model : Models.t) (plans : Site_plan.t array) =
   let n = Array.length plans in
   let rec scan i =
     if i >= n then None
     else
-      let diags =
-        Shape_infer.check_impl model.Models.sites.(i) plans.(i).Site_plan.sp_impl
-      in
-      if List.exists Diagnostic.is_error diags then Some (i, diags) else scan (i + 1)
+      match Conv_impl.check model.Models.sites.(i) plans.(i).Site_plan.sp_impl with
+      | [] -> scan (i + 1)
+      | diags -> Some (i, diags)
   in
   scan 0
 
@@ -78,7 +75,7 @@ let report_of_schedule ~site ~label ~subject nest s =
 let analyze_plan ~site ~label nest steps =
   let baseline = Loop_nest.baseline_schedule nest in
   let subject = "plan " ^ Plan_lint.plan_to_string steps in
-  match Plan_lint.lint baseline steps with
+  match Plan_types.lint baseline steps with
   | Some s, diags ->
       let r = report_of_schedule ~site ~label ~subject nest s in
       { r with sr_diags = diags @ r.sr_diags }
@@ -143,7 +140,7 @@ let analyze_model ?plan (model : Models.t) =
          let label = site.Conv_impl.site_label in
          let idx = site.Conv_impl.site_index in
          let impl_diags =
-           Shape_infer.check_impl site model.Models.impls.(idx)
+           Conv_impl.check site model.Models.impls.(idx)
            @
            match Loop_nest.baseline_schedule nest with
            | s ->

@@ -1,8 +1,8 @@
 (** Entry points tying the static analyzers to the search stack.
 
-    [candidate] is the pre-Fisher filter used by [Unified_search]: a purely
-    static validity scan over a candidate's per-site plans that finds the
-    same first-invalid site the dynamic [Site_plan.valid] sweep would.
+    [candidate] is the pre-Fisher filter used by [Unified_search]: the
+    model-level scan of {!Conv_impl.check} over a candidate's per-site
+    plans.
     [analyze_model] drives the CLI's [--analyze] mode: it runs direction-
     vector legality, shape inference and access bounds checking over every
     transformable site of a model, either for the standard sequence menu
@@ -17,9 +17,8 @@ val nest_of_site : Conv_impl.site -> Loop_nest.conv_nest
 
 val candidate :
   Models.t -> Site_plan.t array -> (int * Diagnostic.t list) option
-(** First site (in index order) whose plan is statically invalid for the
-    model, with the diagnostics; [None] when the candidate is clean.
-    Agrees exactly with [Site_plan.valid] site by site. *)
+(** First site (in index order) whose implementation {!Conv_impl.check}
+    rejects, with the diagnostics; [None] when the candidate is clean. *)
 
 type site_report = {
   sr_site : int;  (** site index *)
@@ -31,8 +30,8 @@ type site_report = {
 
 val analyze_plan :
   site:int -> label:string -> Loop_nest.conv_nest -> Plan_lint.step list -> site_report
-(** Lint and analyze one explicit plan against a nest's baseline
-    schedule. *)
+(** Type-check ({!Plan_types.lint}) and analyze one explicit plan
+    against a nest's baseline schedule. *)
 
 val analyze_model : ?plan:Plan_lint.step list -> Models.t -> site_report list
 (** Analyze every site of a model: with [?plan], that plan per site;

@@ -29,28 +29,97 @@ let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let spatial_out site = site.spatial_in / site.stride
 
-let valid site = function
-  | Full -> true
+(* The one definition of site validity: [] exactly when the implementation
+   is legal at the site, otherwise one diagnostic per violated side
+   condition.  Degenerate factors are rejected before they can reach a
+   division, and a message is formatted only on the reject path. *)
+let check site impl =
+  let ci = site.in_channels and co = site.out_channels and g0 = site.groups in
+  let error = Diagnostic.error in
+  let divides g what n =
+    if n mod g <> 0 then
+      [ error ~code:"indivisible-channel" "group count %d does not divide the %s %d" g
+          what n ]
+    else []
+  in
+  match impl with
+  | Full -> []
   | Grouped g ->
-      g > site.groups && site.in_channels mod g = 0 && site.out_channels mod g = 0
+      if g <= g0 then
+        [ error ~code:"degenerate-groups"
+            "group count %d does not refine the baseline grouping %d" g g0 ]
+      else divides g "input channels" ci @ divides g "output channels" co
   | Bottleneck b ->
-      b > 1 && site.out_channels mod b = 0
-      && (site.out_channels / b) mod site.groups = 0
-      && site.out_channels / b >= site.groups
-  | Depthwise_separable -> site.kernel > 1 && site.groups = 1
+      if b <= 1 then
+        [ error ~code:"degenerate-factor"
+            "bottleneck factor %d is degenerate (must exceed 1)" b ]
+      else if co mod b <> 0 then
+        [ error ~code:"indivisible-channel"
+            "bottleneck factor %d does not divide the output channels %d" b co ]
+      else if co / b mod g0 <> 0 then
+        [ error ~code:"group-divisibility"
+            "bottleneck width %d is not divisible by the baseline grouping %d"
+            (co / b) g0 ]
+      else []
+  | Depthwise_separable ->
+      (if site.kernel <= 1 then
+         [ error ~code:"pointless-depthwise"
+             "depthwise separation of a %dx%d kernel saves nothing" site.kernel
+             site.kernel ]
+       else [])
+      @
+      if g0 <> 1 then
+        [ error ~code:"degenerate-groups"
+            "depthwise separation requires an ungrouped baseline, got groups=%d" g0 ]
+      else []
   | Spatial_bottleneck b ->
-      b > 1
-      && spatial_out site mod b = 0
-      && spatial_out site / b >= 1
-      && site.spatial_in mod (site.stride * b) = 0
+      if b <= 1 then
+        [ error ~code:"degenerate-factor"
+            "spatial bottleneck factor %d is degenerate (must exceed 1)" b ]
+      else
+        let so = spatial_out site in
+        (if so mod b <> 0 then
+           [ error ~code:"indivisible-extent"
+               "spatial bottleneck factor %d does not divide the output plane %d" b so ]
+         else [])
+        @ (if so / b < 1 then
+             [ error ~code:"indivisible-extent"
+                 "spatial bottleneck factor %d collapses the %d-wide output plane" b so ]
+           else [])
+        @
+        if site.spatial_in mod (site.stride * b) <> 0 then
+          [ error ~code:"indivisible-extent"
+              "combined stride %d does not divide the input plane %d"
+              (site.stride * b) site.spatial_in ]
+        else []
   | Split_grouped (g1, g2) ->
-      let half = site.out_channels / 2 in
-      site.out_channels mod 2 = 0
-      && g1 >= site.groups && g2 >= site.groups && g1 <> g2
-      && site.in_channels mod g1 = 0
-      && site.in_channels mod g2 = 0
-      && half mod g1 = 0
-      && half mod g2 = 0
+      let structural =
+        (if co mod 2 <> 0 then
+           [ error ~code:"indivisible-channel"
+               "cannot halve the odd output-channel count %d" co ]
+         else [])
+        @ (if g1 < g0 then
+             [ error ~code:"degenerate-groups"
+                 "first group count %d is below the baseline grouping %d" g1 g0 ]
+           else [])
+        @ (if g2 < g0 then
+             [ error ~code:"degenerate-groups"
+                 "second group count %d is below the baseline grouping %d" g2 g0 ]
+           else [])
+        @
+        if g1 = g2 then
+          [ error ~code:"degenerate-groups"
+              "split-grouped halves use the same group count %d (use grouped instead)"
+              g1 ]
+        else []
+      in
+      if structural <> [] then structural
+      else
+        let half = co / 2 in
+        divides g1 "input channels" ci @ divides g2 "input channels" ci
+        @ divides g1 "half-width" half @ divides g2 "half-width" half
+
+let valid site impl = check site impl = []
 
 (* MAC counts mirror exactly what the builder materializes so that budget
    accounting matches the real networks. *)

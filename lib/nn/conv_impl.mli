@@ -44,11 +44,14 @@ val to_string : t -> string
 val spatial_out : site -> int
 (** Square output feature-map extent ([spatial_in / stride]). *)
 
+val check : site -> t -> Diagnostic.t list
+(** The site-validity judgment: empty exactly when the implementation is
+    legal at the site, otherwise one [Error] per violated side condition
+    (the paper's [C mod G = 0] / [C_o mod B = 0] divisibility, degenerate
+    group counts and factors, spatial extents). *)
+
 val valid : site -> t -> bool
-(** Divisibility and spatial-extent constraints; mirrors the paper's
-    [C mod G = 0] / [C_o mod B = 0] side conditions.  The static analyzer's
-    [Shape_infer.check_impl] returns the diagnostic form of this predicate;
-    the two are kept equivalent by a test. *)
+(** [check site impl = []]. *)
 
 val macs : site -> t -> int
 (** Multiply-accumulate count of the site under the implementation. *)

@@ -33,7 +33,7 @@ let plan seq =
   | Seq3 { g1; g2 } -> Site_plan.make ~name:(name seq) (Conv_impl.Split_grouped (g1, g2))
   | Spatial_bneck b -> Site_plan.make ~name:(name seq) (Conv_impl.Spatial_bottleneck b)
 
-let valid site seq = Site_plan.valid site (plan seq)
+let valid site seq = Conv_impl.valid site (plan seq).Site_plan.sp_impl
 
 let standard_menu site =
   List.filter (valid site)

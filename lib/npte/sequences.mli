@@ -34,7 +34,7 @@ val plan : t -> Site_plan.t
 
 val valid : Conv_impl.site -> t -> bool
 (** Whether the sequence's structural rewrite is applicable to the site
-    (delegates to {!Site_plan.valid} on {!plan}). *)
+    (delegates to {!Conv_impl.valid} on {!plan}'s implementation). *)
 
 val standard_menu : Conv_impl.site -> t list
 (** Every named sequence, with its standard parameters (§7.3 uses g=2,

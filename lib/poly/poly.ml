@@ -131,10 +131,8 @@ let tile t ~pos ~factor =
   let t = split t ~pos ~factor in
   (* Sink the freshly created inner loop (now at pos+1) to the innermost
      position. *)
-  let n = loop_count t in
   let inner = List.nth t.loops (pos + 1) in
   let without = List.filteri (fun i _ -> i <> pos + 1) t.loops in
-  ignore n;
   replace_loops t (without @ [ inner ])
 
 let unroll t ~pos ~factor =

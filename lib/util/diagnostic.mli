@@ -1,6 +1,7 @@
-(** The diagnostic taxonomy shared by the static analyzers.
+(** The diagnostic taxonomy shared by the static judgments.
 
-    Every analyzer in [lib/analysis] reports findings as values of {!t}
+    Site validity ([Conv_impl.check]), the plan typing judgment and the
+    analyzers in [lib/analysis] report findings as values of {!t}
     instead of raising: an [Error] means the analyzed plan is definitely
     wrong (an illegal transformation, a violated dependence, an
     out-of-range access), a [Warn] flags something suspicious but

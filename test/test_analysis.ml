@@ -1,6 +1,6 @@
 (* Static-analysis tests: direction-vector legality against the sampling
-   oracle, shape/impl inference equivalence, the plan linter, the
-   differential sanitizer and the search's static pre-filter. *)
+   oracle, shape inference, the site-validity judgment, the plan linter,
+   the differential sanitizer and the search's static pre-filter. *)
 
 let conv_domain =
   [ ("co", 4); ("ci", 6); ("oh", 5); ("ow", 5) ]
@@ -114,25 +114,30 @@ let impl_corpus (site : Conv_impl.site) =
     Spatial_bottleneck 5; Split_grouped (2, 4); Split_grouped (4, 2);
     Split_grouped (2, 2); Split_grouped (3, 6); Split_grouped (2, 8) ]
 
-let t_check_impl_equiv_valid () =
-  (* The acceptance contract: Shape_infer.check_impl is the diagnostic form
-     of Conv_impl.valid — empty exactly when valid, over every site of a
-     real model and a corpus of valid and invalid implementations. *)
+let t_valid_pair_count () =
+  (* Pins the site-validity judgment over every site of a real model and a
+     corpus of valid and invalid implementations: 156 of the 336 (site,
+     impl) pairs are valid, and every rejection names its side condition. *)
   let rng = Rng.create 77 in
   let model = Models.build (Models.resnet18 ()) rng in
-  Array.iter
-    (fun site ->
-      List.iter
-        (fun impl ->
-          Alcotest.(check bool)
-            (Printf.sprintf "%s / %s" site.Conv_impl.site_label
-               (Conv_impl.to_string impl))
-            (Conv_impl.valid site impl)
-            (Shape_infer.check_impl site impl = []))
-        (impl_corpus site))
-    model.Models.sites
+  let pairs =
+    Array.to_list model.Models.sites
+    |> List.concat_map (fun site -> List.map (fun impl -> (site, impl)) (impl_corpus site))
+  in
+  let valid = List.filter (fun (site, impl) -> Conv_impl.valid site impl) pairs in
+  Alcotest.(check int) "pairs" 336 (List.length pairs);
+  Alcotest.(check int) "valid pairs" 156 (List.length valid);
+  List.iter
+    (fun (site, impl) ->
+      if not (Conv_impl.valid site impl) then
+        Alcotest.(check bool)
+          (Printf.sprintf "%s / %s names an error" site.Conv_impl.site_label
+             (Conv_impl.to_string impl))
+          true
+          (List.for_all Diagnostic.is_error (Conv_impl.check site impl)))
+    pairs
 
-(* --- Plan linter ------------------------------------------------------- *)
+(* --- Plan linter (Plan_types.lint) ------------------------------------- *)
 
 let parse plan =
   match Plan_lint.of_string plan with
@@ -150,13 +155,13 @@ let t_lint_parse_roundtrip () =
 
 let t_lint_indivisible_tile () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let s, diags = Plan_lint.lint baseline (parse "tile@2:5") in
+  let s, diags = Plan_types.lint baseline (parse "tile@2:5") in
   Alcotest.(check bool) "no schedule" true (s = None);
   Alcotest.(check bool) "indivisible-tile" true (has_code "indivisible-tile" diags)
 
 let t_lint_warnings_still_apply () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let s, diags = Plan_lint.lint baseline (parse "split@0:1;unroll@5:64") in
+  let s, diags = Plan_types.lint baseline (parse "split@0:1;unroll@5:64") in
   Alcotest.(check bool) "schedule produced" true (s <> None);
   Alcotest.(check bool) "no-op warned" true (has_code "no-op" diags);
   Alcotest.(check bool) "unroll-overflow warned" true
@@ -166,7 +171,7 @@ let t_lint_warnings_still_apply () =
 
 let t_lint_bad_dimension () =
   let baseline = Loop_nest.baseline_schedule small_nest in
-  let _, diags = Plan_lint.lint baseline (parse "interchange@0,9") in
+  let _, diags = Plan_types.lint baseline (parse "interchange@0,9") in
   Alcotest.(check bool) "bad-dimension" true (has_code "bad-dimension" diags)
 
 (* --- Differential sanitizer -------------------------------------------- *)
@@ -189,14 +194,14 @@ let setup () =
   (rng, model, probe)
 
 let t_candidate_filter_matches_dynamic_sweep () =
-  (* The pre-Fisher filter must find the same first-invalid site as the
-     dynamic Site_plan.valid sweep, on valid pools and corrupted ones. *)
+  (* The pre-Fisher filter must find the same first-invalid site as a
+     Conv_impl.valid sweep, on valid pools and corrupted ones. *)
   let rng, model, _ = setup () in
   let first_invalid plans =
     let n = Array.length plans in
     let rec scan i =
       if i >= n then None
-      else if not (Site_plan.valid model.Models.sites.(i) plans.(i)) then Some i
+      else if not (Conv_impl.valid model.Models.sites.(i) plans.(i).Site_plan.sp_impl) then Some i
       else scan (i + 1)
     in
     scan 0
@@ -273,8 +278,8 @@ let () =
       ( "shape",
         [ quick "apply group" t_shape_apply_group;
           quick "check schedule clean" t_shape_check_schedule_clean;
-          quick "bounds in range" t_bounds_baseline_in_range;
-          quick "check_impl <=> valid" t_check_impl_equiv_valid ] );
+          quick "bounds in range" t_bounds_baseline_in_range ] );
+      ("site", [ quick "valid pairs on resnet18" t_valid_pair_count ]);
       ( "lint",
         [ quick "parse roundtrip" t_lint_parse_roundtrip;
           quick "indivisible tile" t_lint_indivisible_tile;

@@ -1,8 +1,9 @@
 (* Typed plan algebra tests: the plan-syntax round-trip, degenerate lint
    inputs, a table-driven typing suite (one well-typed and one ill-typed
-   instance per step kind), exhaustive agreement between the typed
-   enumerator and the lint-clean set at small sizes, and the typed
-   differential fuzzer gate. *)
+   instance per step kind), exhaustive agreement of the judgment with the
+   concrete [Plan_lint.apply] and of the typed enumerator with the
+   lint-clean set at small sizes, and the typed differential fuzzer
+   gate. *)
 
 let conv_domain = [ ("co", 4); ("ci", 6); ("oh", 4); ("ow", 4) ]
 let base_env () = Plan_types.env_of_schedule (Poly.of_domain conv_domain)
@@ -62,7 +63,7 @@ let t_roundtrip_each_constructor () =
 
 let lint_one step =
   let s = Poly.of_domain conv_domain in
-  Plan_lint.lint s [ step ]
+  Plan_types.lint s [ step ]
 
 let has_error diags =
   List.exists (fun d -> d.Diagnostic.d_severity = Diagnostic.Error) diags
@@ -85,11 +86,45 @@ let t_fuse_last_dimension () =
   Alcotest.(check bool) "error reported" true (has_error diags);
   Alcotest.(check bool) "plan rejected" true (final = None)
 
+let t_factor1_out_of_range () =
+  (* Factor-1 split/tile is the identity only at a real loop position. *)
+  let s = Poly.of_domain conv_domain in
+  List.iter
+    (fun step ->
+      let name = Plan_lint.to_string step in
+      (match Plan_lint.apply s step with
+      | _ -> Alcotest.failf "%s applied out of range" name
+      | exception Poly.Illegal _ -> ());
+      let _, diags = Plan_types.lint s [ step ] in
+      Alcotest.(check (list string)) (name ^ " judged") [ "bad-dimension" ]
+        (List.map (fun d -> d.Diagnostic.d_code) (Diagnostic.errors diags)))
+    [ Plan_lint.Split (9, 1); Tile (-1, 1); Split (4, 1); Tile (4, 1) ];
+  Alcotest.(check bool) "in range is the identity" true
+    (Plan_lint.apply s (Plan_lint.Split (0, 1)) == s)
+
+(* --- the concrete oracle ---------------------------------------------- *)
+
+(* Hold one step's judgment against [Plan_lint.apply] (error iff apply
+   raises; warning-only ⇒ apply succeeds, env unchanged; [Ok env'] ⇒ env'
+   abstracts the result), failing the test on a disagreement. *)
+let oracle s step =
+  match Sanitizer.step_oracle s step with
+  | Ok applied -> applied
+  | Error detail -> Alcotest.failf "%s: %s" (Plan_lint.to_string step) detail
+
+(* Lint-clean: every step applies and draws no finding.  Each step is also
+   held against the concrete oracle on the way. *)
+let lint_clean env plan =
+  let s = Plan_types.schedule_of_env env in
+  ignore
+    (List.fold_left (fun s step -> Option.bind s (fun s -> oracle s step)) (Some s) plan);
+  match Plan_types.lint s plan with Some _, [] -> true | _ -> false
+
 (* --- table-driven typing suite ----------------------------------------- *)
 
 (* One well-typed and one ill-typed instance per step kind.  Each verdict
-   is cross-checked against the linter, so the table re-asserts the
-   exactness contract (well-typed iff zero diagnostics) case by case.
+   is cross-checked against the concrete [Plan_lint.apply], so the table
+   re-asserts the exactness contract case by case.
    Depthwise needs its own square domain: on conv_domain it is the
    ill-typed sample (co <> ci). *)
 let square_env () =
@@ -127,10 +162,9 @@ let t_typing_table () =
         match Plan_types.infer env step with Ok _ -> true | Error _ -> false
       in
       Alcotest.(check bool) (name ^ ": judgment") expect_well typed;
-      (* Exactness against the oracle: well-typed iff the linter records
-         nothing for the step. *)
-      let _, diags = Plan_lint.lint (Plan_types.schedule_of_env env) [ step ] in
-      Alcotest.(check bool) (name ^ ": lint agrees") expect_well (diags = []);
+      (* [lint_clean] also holds the step against the concrete oracle. *)
+      Alcotest.(check bool) (name ^ ": lint agrees") expect_well
+        (lint_clean env [ step ]);
       if not expect_well then
         (* Ill-typed diagnostics lead with the violated rule's name. *)
         let prefixed msg =
@@ -149,15 +183,17 @@ let t_typing_table () =
 
 (* A bounded step universe built independently of the typed enumerator:
    dimensions beyond range, factors outside the divisor sets, bogus
-   iterators and malformed permutations included.  Against it the
+   iterators, non-positive factors and malformed permutations included.
+   Against it every step must meet the concrete oracle, and the
    enumerator must be exactly the lint-clean subset — soundness and
    completeness at once, with no sampling. *)
 let universe env =
   let n = Plan_types.loop_count env in
   let dims = List.init (n + 2) (fun i -> i - 1) in
-  (* 0..8 covers every divisor and unroll factor reachable from the
-     2-loop [co=4, ci=2] start (fusing yields extent 8). *)
-  let factors = List.init 9 (fun f -> f) in
+  (* -1..8 covers every divisor and unroll factor reachable from the
+     2-loop [co=4, ci=2] start (fusing yields extent 8), plus the
+     non-positive factors [Poly] rejects. *)
+  let factors = List.init 10 (fun f -> f - 1) in
   let iters = "zz" :: List.map fst env.Plan_types.te_domain in
   let perms =
     (* all permutations of 0..n-1, plus malformed lists *)
@@ -196,10 +232,32 @@ let universe env =
         iters;
       [ Plan_lint.Depthwise ] ]
 
-let lint_clean env plan =
-  match Plan_lint.lint (Plan_types.schedule_of_env env) plan with
-  | Some _, [] -> true
-  | _ -> false
+(* Every universe step at the two-loop start, at every state one
+   well-typed step away, and at the four-loop convolution start: the
+   judgment's severity must match what [Plan_lint.apply] does. *)
+let t_every_step_meets_apply () =
+  let small = Plan_types.env_of_schedule (Poly.of_domain [ ("co", 4); ("ci", 2) ]) in
+  let next env =
+    List.filter_map
+      (fun s -> Result.to_option (Plan_types.infer env s))
+      (Plan_types.choices env)
+  in
+  let states = (small :: next small) @ [ base_env () ] in
+  let typed = ref 0 and warned = ref 0 and raised = ref 0 in
+  List.iter
+    (fun env ->
+      List.iter
+        (fun step ->
+          match (Plan_types.infer env step, oracle (Plan_types.schedule_of_env env) step) with
+          | Ok _, _ -> incr typed
+          | Error _, Some _ -> incr warned
+          | Error _, None -> incr raised)
+        (universe env))
+    states;
+  (* Every verdict class is exercised. *)
+  Alcotest.(check bool) "well-typed steps" true (!typed > 0);
+  Alcotest.(check bool) "no-op steps" true (!warned > 0);
+  Alcotest.(check bool) "rejected steps" true (!raised > 0)
 
 let plan_set plans =
   List.sort_uniq compare (List.map Plan_lint.plan_to_string plans)
@@ -245,7 +303,7 @@ let t_enumerate_matches_lint_clean () =
   Alcotest.(check int) "same count" (List.length brute) (List.length typed)
 
 (* Soundness of the samplers at full conv size, where enumeration is too
-   big: every sampled plan lints clean. *)
+   big: every sampled plan lints clean and meets the concrete oracle. *)
 let t_sampled_plans_lint_clean () =
   let env = base_env () in
   let rng = Rng.create 2026 in
@@ -255,7 +313,7 @@ let t_sampled_plans_lint_clean () =
       ("lint-clean: " ^ Plan_lint.plan_to_string plan)
       true (lint_clean env plan);
     (* The final environment matches the linted schedule's abstraction. *)
-    match Plan_lint.lint (Plan_types.schedule_of_env env) plan with
+    match Plan_types.lint (Plan_types.schedule_of_env env) plan with
     | Some s, [] ->
         Alcotest.(check bool) "env tracks schedule" true
           (Plan_types.equal env' (Plan_types.env_of_schedule s))
@@ -286,10 +344,12 @@ let () =
       ( "degenerate",
         [ quick "reorder repeated" t_reorder_repeated_dimension;
           quick "reorder out of range" t_reorder_out_of_range;
-          quick "fuse last dim" t_fuse_last_dimension ] );
+          quick "fuse last dim" t_fuse_last_dimension;
+          quick "factor-1 split out of range" t_factor1_out_of_range ] );
       ("typing", [ quick "table" t_typing_table ]);
       ( "exhaustive",
-        [ quick "enumerate = lint-clean" t_enumerate_matches_lint_clean;
+        [ quick "every step meets apply" t_every_step_meets_apply;
+          quick "enumerate = lint-clean" t_enumerate_matches_lint_clean;
           quick "samples lint clean" t_sampled_plans_lint_clean ] );
       ("fuzzer", [ quick "typed gate" t_typed_fuzzer_gate ]);
       ("properties", List.map QCheck_alcotest.to_alcotest qcheck_tests) ]

@@ -77,7 +77,7 @@ let t_winning_plans_are_legal () =
   Array.iteri
     (fun i p ->
       Alcotest.(check bool) "valid plan" true
-        (Site_plan.valid model.Models.sites.(i) p))
+        (Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl))
     r.Unified_search.r_best.Unified_search.cd_plans
 
 let t_blockswap_respects_budget () =
@@ -221,7 +221,7 @@ let t_typed_plans_valid_by_construction () =
     Array.iteri
       (fun i p ->
         Alcotest.(check bool) "typed plan valid" true
-          (Site_plan.valid model.Models.sites.(i) p))
+          (Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl))
       plans
   done
 
@@ -270,7 +270,7 @@ let qcheck_tests =
         let plans = Unified_search.random_plans rng model ~mutate_prob:0.8 in
         Array.for_all
           (fun ok -> ok)
-          (Array.mapi (fun i p -> Site_plan.valid model.Models.sites.(i) p) plans)) ]
+          (Array.mapi (fun i p -> Conv_impl.valid model.Models.sites.(i) p.Site_plan.sp_impl) plans)) ]
 
 let () =
   let quick name f = Alcotest.test_case name `Quick f in
